@@ -170,7 +170,8 @@ ExecutablePlan::runMlpRangeNarrow(const math::Matrix *x,
     // Each lane still replays the interpreter's exact saturating term
     // order (the kernel contract), so labels are bit-identical to
     // executeIr regardless of where a shard's lane groups fall or
-    // which dispatch target runs them.
+    // which dispatch target runs them. There is no per-row scalar
+    // tail: a partial last group runs the same kernels, zero-padded.
     constexpr std::size_t kLanes = kernels::kDenseLanes32;
     scratch.quantized.resize(kLanes * inputDim_);
     scratch.actA.resize(kLanes * maxWidth_);
@@ -184,19 +185,30 @@ ExecutablePlan::runMlpRangeNarrow(const math::Matrix *x,
     args.actLo = actLo_;
     args.actHi = actHi_;
 
-    std::size_t base = row_begin;
-    for (; base + kLanes <= row_end; base += kLanes) {
+    const std::size_t classes = layers_.back().outputDim;
+    for (std::size_t base = row_begin; base < row_end; base += kLanes) {
+        // The last group of a range may be partial: its empty lanes are
+        // zero-padded and run through the same kernels as a full group
+        // (the kernel padded-lane contract, kernel_api.hpp). Lanes never
+        // interact, so a padded lane cannot perturb a live one, and only
+        // live lanes' labels are written back.
+        const std::size_t live = std::min(kLanes, row_end - base);
+        args.liveLanes = live;
         if (qx != nullptr) {
-            for (std::size_t lane = 0; lane < kLanes; ++lane) {
+            for (std::size_t lane = 0; lane < live; ++lane) {
                 const std::int32_t *q = qx->rowPtr(base + lane);
                 for (std::size_t in = 0; in < inputDim_; ++in)
                     quantized[in * kLanes + lane] = q[in];
             }
         } else {
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
+            for (std::size_t lane = 0; lane < live; ++lane)
                 format_.quantizeInto(x->rowPtr(base + lane),
                                      &quantized[lane], inputDim_, kLanes);
         }
+        if (live < kLanes)
+            for (std::size_t in = 0; in < inputDim_; ++in)
+                std::fill_n(&quantized[in * kLanes + live], kLanes - live,
+                            0);
 
         const std::int32_t *current = quantized;
         std::int32_t *front = scratch.actA.data();
@@ -215,19 +227,9 @@ ExecutablePlan::runMlpRangeNarrow(const math::Matrix *x,
             std::swap(front, back);
         }
 
-        ops.argmaxI32(current, layers_.back().outputDim,
-                      labels + (base - row_begin));
-    }
-
-    for (; base < row_end; ++base) {
-        const std::int32_t *q;
-        if (qx != nullptr) {
-            q = qx->rowPtr(base);
-        } else {
-            quantizeRow(x->rowPtr(base), quantized);
-            q = quantized;
-        }
-        labels[base - row_begin] = inferMlp(q, scratch);
+        int lane_labels[kLanes];
+        ops.argmaxI32(current, classes, lane_labels);
+        std::copy_n(lane_labels, live, labels + (base - row_begin));
     }
 }
 
@@ -257,9 +259,13 @@ ExecutablePlan::runMlpRangeI8(const math::Matrix *x,
     args.actLo = static_cast<std::int16_t>(actLo_);
     args.actHi = static_cast<std::int16_t>(actHi_);
 
-    std::size_t base = row_begin;
-    for (; base + kLanes <= row_end; base += kLanes) {
-        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    const std::size_t classes = layers_.back().outputDim;
+    for (std::size_t base = row_begin; base < row_end; base += kLanes) {
+        // Partial last group: zero-padded lanes, live labels only (see
+        // runMlpRangeNarrow).
+        const std::size_t live = std::min(kLanes, row_end - base);
+        args.liveLanes = live;
+        for (std::size_t lane = 0; lane < live; ++lane) {
             const std::int32_t *q;
             if (qx != nullptr) {
                 q = qx->rowPtr(base + lane);
@@ -275,6 +281,10 @@ ExecutablePlan::runMlpRangeI8(const math::Matrix *x,
                 quantized16[in * kLanes + lane] =
                     static_cast<std::int16_t>(q[in]);
         }
+        if (live < kLanes)
+            for (std::size_t in = 0; in < inputDim_; ++in)
+                std::fill_n(&quantized16[in * kLanes + live],
+                            kLanes - live, std::int16_t{0});
 
         const std::int16_t *current = quantized16;
         std::int16_t *front = scratch.act16A.data();
@@ -293,19 +303,9 @@ ExecutablePlan::runMlpRangeI8(const math::Matrix *x,
             std::swap(front, back);
         }
 
-        ops.argmaxI16(current, layers_.back().outputDim,
-                      labels + (base - row_begin));
-    }
-
-    for (; base < row_end; ++base) {
-        const std::int32_t *q;
-        if (qx != nullptr) {
-            q = qx->rowPtr(base);
-        } else {
-            quantizeRow(x->rowPtr(base), scratch.quantized.data());
-            q = scratch.quantized.data();
-        }
-        labels[base - row_begin] = inferMlp(q, scratch);
+        int lane_labels[kLanes];
+        ops.argmaxI16(current, classes, lane_labels);
+        std::copy_n(lane_labels, live, labels + (base - row_begin));
     }
 }
 

@@ -36,6 +36,14 @@
  * of the deployed quantized artifact, at any shard width
  * (tests/test_exec_plan.cpp and tests/test_inference_engine.cpp hold
  * the implementations together).
+ *
+ * Narrow (<= 16-bit) and int8 (<= 8-bit) MLPs run every row of a range
+ * through the lane-group dense kernels; there is no per-row scalar
+ * tail. A partial last group is zero-padded, executed like a full one,
+ * and only its live lanes' labels are written (the padded-lane contract
+ * in kernels/kernel_api.hpp). Lanes never interact, so padding cannot
+ * change a verdict, and a short serving batch costs one vector group
+ * instead of one scalar row each. Tree ranges keep their per-row tail.
  */
 #pragma once
 
@@ -182,14 +190,15 @@ class ExecutablePlan
 
     void quantizeRow(const double *row, std::int32_t *out) const;
     /** Blocked int32 GEMM over interleaved lanes (formats <= 16 bits),
-     *  executed through @p ops.denseI32/argmaxI32.
-     *  @p quantized_rows is the pre-quantized matrix when non-null. */
+     *  executed through @p ops.denseI32/argmaxI32, partial last group
+     *  zero-padded. @p qx is the pre-quantized matrix when non-null. */
     void runMlpRangeNarrow(const math::Matrix *x,
                            const QuantizedMatrix *qx,
                            std::size_t row_begin, std::size_t row_end,
                            int *labels, Scratch &scratch,
                            const kernels::KernelOps &ops) const;
-    /** int8-weight GEMM over 16 int16 lanes (formats <= 8 bits). */
+    /** int8-weight GEMM over 16 int16 lanes (formats <= 8 bits),
+     *  partial last group zero-padded. */
     void runMlpRangeI8(const math::Matrix *x, const QuantizedMatrix *qx,
                        std::size_t row_begin, std::size_t row_end,
                        int *labels, Scratch &scratch,

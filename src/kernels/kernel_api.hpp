@@ -64,6 +64,14 @@ constexpr std::size_t kTreeLanes = 8;
  *           product = clamp(product, rawMin, rawMax);
  *           acc = clamp(acc + product, rawMin, rawMax)
  *   if clampAct: acc = clamp(acc, actLo, actHi)
+ *
+ * The padded-lane contract: lanes never interact, so a caller holding
+ * fewer rows than lanes zero-pads the rest and discards their outputs.
+ * `liveLanes` says how many leading lanes hold rows. A vector kernel
+ * computes every lane anyway (a whole register costs the same); the
+ * scalar reference computes only the live ones and leaves the padded
+ * lanes' outputs unspecified, so a padded group never costs it more
+ * than its live rows.
  */
 struct DenseI32Args
 {
@@ -79,6 +87,7 @@ struct DenseI32Args
     bool clampAct = false;         ///< hidden-layer activation window.
     std::int32_t actLo = 0;
     std::int32_t actHi = 0;
+    std::size_t liveLanes = kDenseLanes32;  ///< rows in lanes [0, live).
 };
 
 /**
@@ -86,7 +95,8 @@ struct DenseI32Args
  * arithmetic (exact for formats of <= 8 total bits: |raw| <= 2^7, so a
  * product fits int16 (<= 2^14) and a post-clamp sum stays within
  * [-256, 255]). Weights are repacked to int8, biases to int16; the MAC
- * chain semantics match DenseI32Args exactly.
+ * chain semantics and the padded-lane contract match DenseI32Args
+ * exactly.
  */
 struct DenseI16Args
 {
@@ -102,6 +112,7 @@ struct DenseI16Args
     bool clampAct = false;
     std::int16_t actLo = 0;
     std::int16_t actHi = 0;
+    std::size_t liveLanes = kDenseLanes16;  ///< rows in lanes [0, live).
 };
 
 /**
@@ -137,7 +148,8 @@ struct KernelOps
 
     /** Fused arg-max epilogue over lane-interleaved final-layer scores
      *  (classes x lanes); strict >, first class wins ties. Writes one
-     *  label per lane. */
+     *  label per lane, padded lanes included (the caller keeps only
+     *  the live ones). */
     void (*argmaxI32)(const std::int32_t *scores, std::size_t classes,
                       int *labels) = nullptr;
     void (*argmaxI16)(const std::int16_t *scores, std::size_t classes,

@@ -9,6 +9,16 @@
  *  - Saturating MAC chains are per-row in-order; these kernels
  *    vectorize ACROSS rows (one row per lane), so no within-row
  *    reordering ever happens.
+ *  - The dense kernels register-block 4 outputs at a time (then a
+ *    1-output remainder loop). Blocking only interleaves independent
+ *    (lane, output) chains to overlap their add -> max -> min latency;
+ *    each chain still sees its terms in input order.
+ *  - Lanes are independent, so callers zero-pad a partial lane group
+ *    and discard the padded lanes' outputs (ExecutablePlan has no
+ *    scalar tail for narrow and int8 MLPs). These kernels ignore
+ *    liveLanes: a whole register costs the same as part of one.
+ *  - There is no tree-descent entry: the 8-lane gather kernel measured
+ *    0.7x the scalar per-lane walk, so the table falls back to scalar.
  *  - _mm256_madd_epi16 is deliberately not used: it sums adjacent
  *    products before the per-term clamp, which breaks the
  *    rawMin/rawMax saturation semantics.
@@ -42,6 +52,32 @@ clamp16(__m256i v, __m256i lo, __m256i hi)
     return _mm256_min_epi16(_mm256_max_epi16(v, lo), hi);
 }
 
+/** One saturating MAC step of one output over kDenseLanes32 lanes. */
+inline __m256i
+mac32(__m256i acc, __m256i iv, std::int32_t weight, __m128i shift,
+      __m256i raw_min, __m256i raw_max)
+{
+    __m256i product = _mm256_mullo_epi32(iv, _mm256_set1_epi32(weight));
+    product = clamp32(_mm256_sra_epi32(product, shift), raw_min, raw_max);
+    return clamp32(_mm256_add_epi32(acc, product), raw_min, raw_max);
+}
+
+/** One saturating MAC step of one output over kDenseLanes16 lanes. The
+ *  <= 8-bit contract keeps every product <= 2^14 and every post-clamp
+ *  sum within [-256, 255], so mullo/add never wrap. */
+inline __m256i
+mac16(__m256i acc, __m256i iv, std::int16_t weight, __m128i shift,
+      __m256i raw_min, __m256i raw_max)
+{
+    __m256i product = _mm256_mullo_epi16(iv, _mm256_set1_epi16(weight));
+    product = clamp16(_mm256_sra_epi16(product, shift), raw_min, raw_max);
+    return clamp16(_mm256_add_epi16(acc, product), raw_min, raw_max);
+}
+
+/** Outputs computed together by the dense kernels: four independent
+ *  saturating chains hide the add -> max -> min latency of each. */
+constexpr std::size_t kOutBlock = 4;
+
 void
 denseI32Avx2(const DenseI32Args &args)
 {
@@ -50,61 +86,95 @@ denseI32Avx2(const DenseI32Args &args)
     const __m256i raw_max = _mm256_set1_epi32(args.rawMax);
     const __m256i act_lo = _mm256_set1_epi32(args.actLo);
     const __m256i act_hi = _mm256_set1_epi32(args.actHi);
-    for (std::size_t out = 0; out < args.outputDim; ++out) {
-        const std::int16_t *w = args.weightsT + out * args.inputDim;
-        __m256i acc = _mm256_set1_epi32(args.biases[out]);
-        for (std::size_t in = 0; in < args.inputDim; ++in) {
-            const __m256i weight = _mm256_set1_epi32(w[in]);
-            const __m256i iv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(args.input +
-                                                  in * kDenseLanes32));
-            __m256i product = _mm256_mullo_epi32(iv, weight);
-            product = _mm256_sra_epi32(product, shift);
-            product = clamp32(product, raw_min, raw_max);
-            acc = clamp32(_mm256_add_epi32(acc, product), raw_min,
-                          raw_max);
-        }
+    const std::size_t n = args.inputDim;
+    auto store = [&](std::size_t out, __m256i acc) {
         if (args.clampAct)
             acc = clamp32(acc, act_lo, act_hi);
         _mm256_storeu_si256(
             reinterpret_cast<__m256i *>(args.output +
                                         out * kDenseLanes32),
             acc);
+    };
+    auto input = [&](std::size_t in) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+            args.input + in * kDenseLanes32));
+    };
+
+    std::size_t out = 0;
+    for (; out + kOutBlock <= args.outputDim; out += kOutBlock) {
+        const std::int16_t *w = args.weightsT + out * n;
+        __m256i acc0 = _mm256_set1_epi32(args.biases[out]);
+        __m256i acc1 = _mm256_set1_epi32(args.biases[out + 1]);
+        __m256i acc2 = _mm256_set1_epi32(args.biases[out + 2]);
+        __m256i acc3 = _mm256_set1_epi32(args.biases[out + 3]);
+        for (std::size_t in = 0; in < n; ++in) {
+            const __m256i iv = input(in);
+            acc0 = mac32(acc0, iv, w[in], shift, raw_min, raw_max);
+            acc1 = mac32(acc1, iv, w[n + in], shift, raw_min, raw_max);
+            acc2 = mac32(acc2, iv, w[2 * n + in], shift, raw_min, raw_max);
+            acc3 = mac32(acc3, iv, w[3 * n + in], shift, raw_min, raw_max);
+        }
+        store(out, acc0);
+        store(out + 1, acc1);
+        store(out + 2, acc2);
+        store(out + 3, acc3);
+    }
+    for (; out < args.outputDim; ++out) {
+        const std::int16_t *w = args.weightsT + out * n;
+        __m256i acc = _mm256_set1_epi32(args.biases[out]);
+        for (std::size_t in = 0; in < n; ++in)
+            acc = mac32(acc, input(in), w[in], shift, raw_min, raw_max);
+        store(out, acc);
     }
 }
 
 void
 denseI16Avx2(const DenseI16Args &args)
 {
-    // 16 int16 lanes per register: the <= 8-bit contract keeps every
-    // product <= 2^14 and every post-clamp sum within [-256, 255], so
-    // mullo/add never wrap.
     const __m128i shift = _mm_cvtsi32_si128(args.fracBits);
     const __m256i raw_min = _mm256_set1_epi16(args.rawMin);
     const __m256i raw_max = _mm256_set1_epi16(args.rawMax);
     const __m256i act_lo = _mm256_set1_epi16(args.actLo);
     const __m256i act_hi = _mm256_set1_epi16(args.actHi);
-    for (std::size_t out = 0; out < args.outputDim; ++out) {
-        const std::int8_t *w = args.weightsT + out * args.inputDim;
-        __m256i acc = _mm256_set1_epi16(args.biases[out]);
-        for (std::size_t in = 0; in < args.inputDim; ++in) {
-            const __m256i weight =
-                _mm256_set1_epi16(static_cast<std::int16_t>(w[in]));
-            const __m256i iv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(args.input +
-                                                  in * kDenseLanes16));
-            __m256i product = _mm256_mullo_epi16(iv, weight);
-            product = _mm256_sra_epi16(product, shift);
-            product = clamp16(product, raw_min, raw_max);
-            acc = clamp16(_mm256_add_epi16(acc, product), raw_min,
-                          raw_max);
-        }
+    const std::size_t n = args.inputDim;
+    auto store = [&](std::size_t out, __m256i acc) {
         if (args.clampAct)
             acc = clamp16(acc, act_lo, act_hi);
         _mm256_storeu_si256(
             reinterpret_cast<__m256i *>(args.output +
                                         out * kDenseLanes16),
             acc);
+    };
+    auto input = [&](std::size_t in) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+            args.input + in * kDenseLanes16));
+    };
+
+    std::size_t out = 0;
+    for (; out + kOutBlock <= args.outputDim; out += kOutBlock) {
+        const std::int8_t *w = args.weightsT + out * n;
+        __m256i acc0 = _mm256_set1_epi16(args.biases[out]);
+        __m256i acc1 = _mm256_set1_epi16(args.biases[out + 1]);
+        __m256i acc2 = _mm256_set1_epi16(args.biases[out + 2]);
+        __m256i acc3 = _mm256_set1_epi16(args.biases[out + 3]);
+        for (std::size_t in = 0; in < n; ++in) {
+            const __m256i iv = input(in);
+            acc0 = mac16(acc0, iv, w[in], shift, raw_min, raw_max);
+            acc1 = mac16(acc1, iv, w[n + in], shift, raw_min, raw_max);
+            acc2 = mac16(acc2, iv, w[2 * n + in], shift, raw_min, raw_max);
+            acc3 = mac16(acc3, iv, w[3 * n + in], shift, raw_min, raw_max);
+        }
+        store(out, acc0);
+        store(out + 1, acc1);
+        store(out + 2, acc2);
+        store(out + 3, acc3);
+    }
+    for (; out < args.outputDim; ++out) {
+        const std::int8_t *w = args.weightsT + out * n;
+        __m256i acc = _mm256_set1_epi16(args.biases[out]);
+        for (std::size_t in = 0; in < n; ++in)
+            acc = mac16(acc, input(in), w[in], shift, raw_min, raw_max);
+        store(out, acc);
     }
 }
 
@@ -153,45 +223,6 @@ argmaxI16Avx2(const std::int16_t *scores, std::size_t classes,
     _mm256_store_si256(reinterpret_cast<__m256i *>(out), best_index);
     for (std::size_t lane = 0; lane < kDenseLanes16; ++lane)
         labels[lane] = out[lane];
-}
-
-void
-treeTraverseAvx2(const TreeTraverseArgs &args)
-{
-    const __m256i minus_one = _mm256_set1_epi32(-1);
-    const __m256i lane_offsets =
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    __m256i index = _mm256_setzero_si256();
-    for (;;) {
-        const __m256i left =
-            _mm256_i32gather_epi32(args.nodeLeft, index, 4);
-        // active = this lane still sits on an internal node.
-        const __m256i active = _mm256_cmpgt_epi32(left, minus_one);
-        if (_mm256_movemask_epi8(active) == 0)
-            break;
-        const __m256i feature =
-            _mm256_i32gather_epi32(args.nodeFeature, index, 4);
-        const __m256i threshold =
-            _mm256_i32gather_epi32(args.nodeThreshold, index, 4);
-        const __m256i right =
-            _mm256_i32gather_epi32(args.nodeRight, index, 4);
-        // value = input[feature * kTreeLanes + lane]; masked so lanes
-        // parked on a leaf never dereference the leaf's feature slot.
-        const __m256i vindex = _mm256_add_epi32(
-            _mm256_slli_epi32(feature, 3), lane_offsets);
-        const __m256i value = _mm256_mask_i32gather_epi32(
-            _mm256_setzero_si256(), args.input, vindex, active, 4);
-        // go_left = value <= threshold; cmpgt gives value > threshold.
-        const __m256i gt = _mm256_cmpgt_epi32(value, threshold);
-        const __m256i next = _mm256_blendv_epi8(left, right, gt);
-        index = _mm256_blendv_epi8(index, next, active);
-    }
-    const __m256i label =
-        _mm256_i32gather_epi32(args.nodeLabel, index, 4);
-    alignas(32) std::int32_t out[kTreeLanes];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(out), label);
-    for (std::size_t lane = 0; lane < kTreeLanes; ++lane)
-        args.labels[lane] = out[lane];
 }
 
 /** Horizontal sum of 4 int64 lanes. */
@@ -358,7 +389,6 @@ avx2Ops()
         table.denseI16 = denseI16Avx2;
         table.argmaxI32 = argmaxI32Avx2;
         table.argmaxI16 = argmaxI16Avx2;
-        table.treeTraverse = treeTraverseAvx2;
         table.squaredDist = squaredDistAvx2;
         table.kmeansArgmin = kmeansArgminAvx2;
         table.svmArgmaxNarrow = svmArgmaxNarrowAvx2;

@@ -12,6 +12,7 @@
  * to undefined behavior.
  */
 #include <algorithm>
+#include <type_traits>
 
 #include "kernels/kernel_api.hpp"
 
@@ -19,76 +20,88 @@ namespace homunculus::kernels {
 
 namespace {
 
-void
-denseI32Scalar(const DenseI32Args &args)
+/**
+ * One saturating MAC step: product, renormalizing shift, product clamp,
+ * accumulate clamp. Word is int32 for <= 16-bit formats and int16 for
+ * <= 8-bit ones; the latter is exact because |input|, |weight| <= 2^7
+ * keeps products <= 2^14 and post-clamp sums within [-256, 255], so no
+ * int16 step can overflow.
+ */
+template <typename Word>
+inline Word
+mac(Word acc, Word x, Word weight, int frac_bits, Word lo, Word hi)
 {
-    constexpr std::size_t kLanes = kDenseLanes32;
+    auto product = static_cast<Word>(static_cast<Word>(x * weight) >>
+                                     frac_bits);
+    product = std::min(std::max(product, lo), hi);
+    auto sum = static_cast<Word>(acc + product);
+    return std::min(std::max(sum, lo), hi);
+}
+
+template <typename Word, typename Args>
+inline Word
+activate(Word acc, const Args &args)
+{
+    return args.clampAct ? std::min(std::max(acc, args.actLo), args.actHi)
+                         : acc;
+}
+
+/**
+ * One dense layer over @p kLanes interleaved lanes. A full group runs
+ * lane-innermost with a fixed trip count. A partial group skips its
+ * padded lanes (their outputs stay unspecified) and runs lane-outermost
+ * instead: each live row walks its whole chain in turn, so a 1-row
+ * group costs one row's MACs, not a lane group's loop overhead.
+ */
+template <std::size_t kLanes, typename Args>
+void
+denseScalar(const Args &args)
+{
+    using Word = std::remove_pointer_t<decltype(args.output)>;
+    const int frac_bits = args.fracBits;
+    const Word lo = args.rawMin;
+    const Word hi = args.rawMax;
+    if (args.liveLanes < kLanes) {
+        for (std::size_t lane = 0; lane < args.liveLanes; ++lane) {
+            for (std::size_t out = 0; out < args.outputDim; ++out) {
+                const auto *w = args.weightsT + out * args.inputDim;
+                Word acc = args.biases[out];
+                for (std::size_t in = 0; in < args.inputDim; ++in)
+                    acc = mac<Word>(acc, args.input[in * kLanes + lane],
+                                    w[in], frac_bits, lo, hi);
+                args.output[out * kLanes + lane] = activate(acc, args);
+            }
+        }
+        return;
+    }
     for (std::size_t out = 0; out < args.outputDim; ++out) {
-        const std::int16_t *w = args.weightsT + out * args.inputDim;
-        std::int32_t acc[kLanes];
+        const auto *w = args.weightsT + out * args.inputDim;
+        Word acc[kLanes];
         for (std::size_t lane = 0; lane < kLanes; ++lane)
             acc[lane] = args.biases[out];
         for (std::size_t in = 0; in < args.inputDim; ++in) {
-            const std::int32_t weight = w[in];
-            const std::int32_t *iv = args.input + in * kLanes;
-            for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                std::int32_t product =
-                    (iv[lane] * weight) >> args.fracBits;
-                product = std::min(std::max(product, args.rawMin),
-                                   args.rawMax);
-                std::int32_t sum = acc[lane] + product;
-                acc[lane] = std::min(std::max(sum, args.rawMin),
-                                     args.rawMax);
-            }
-        }
-        std::int32_t *ov = args.output + out * kLanes;
-        if (args.clampAct) {
+            const Word weight = w[in];
+            const Word *iv = args.input + in * kLanes;
             for (std::size_t lane = 0; lane < kLanes; ++lane)
-                ov[lane] = std::min(std::max(acc[lane], args.actLo),
-                                    args.actHi);
-        } else {
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                ov[lane] = acc[lane];
+                acc[lane] = mac(acc[lane], iv[lane], weight, frac_bits, lo,
+                                hi);
         }
+        Word *ov = args.output + out * kLanes;
+        for (std::size_t lane = 0; lane < kLanes; ++lane)
+            ov[lane] = activate(acc[lane], args);
     }
+}
+
+void
+denseI32Scalar(const DenseI32Args &args)
+{
+    denseScalar<kDenseLanes32>(args);
 }
 
 void
 denseI16Scalar(const DenseI16Args &args)
 {
-    // All-int16 arithmetic; exact for <= 8-bit formats (|input|,
-    // |weight| <= 2^7 so products stay <= 2^14 and post-clamp sums
-    // stay within [-256, 255] — no int16 step can overflow).
-    constexpr std::size_t kLanes = kDenseLanes16;
-    for (std::size_t out = 0; out < args.outputDim; ++out) {
-        const std::int8_t *w = args.weightsT + out * args.inputDim;
-        std::int16_t acc[kLanes];
-        for (std::size_t lane = 0; lane < kLanes; ++lane)
-            acc[lane] = args.biases[out];
-        for (std::size_t in = 0; in < args.inputDim; ++in) {
-            const std::int16_t weight = w[in];
-            const std::int16_t *iv = args.input + in * kLanes;
-            for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                auto product = static_cast<std::int16_t>(
-                    static_cast<std::int16_t>(iv[lane] * weight) >>
-                    args.fracBits);
-                product = std::min(std::max(product, args.rawMin),
-                                   args.rawMax);
-                auto sum = static_cast<std::int16_t>(acc[lane] + product);
-                acc[lane] = std::min(std::max(sum, args.rawMin),
-                                     args.rawMax);
-            }
-        }
-        std::int16_t *ov = args.output + out * kLanes;
-        if (args.clampAct) {
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                ov[lane] = std::min(std::max(acc[lane], args.actLo),
-                                    args.actHi);
-        } else {
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                ov[lane] = acc[lane];
-        }
-    }
+    denseScalar<kDenseLanes16>(args);
 }
 
 void

@@ -92,11 +92,18 @@ InferenceEngine::shardRowsFor(std::size_t rows) const
 void
 InferenceEngine::run(const math::Matrix &x, int *labels) const
 {
+    ir::ExecutablePlan::Scratch scratch;
+    run(x, labels, scratch);
+}
+
+void
+InferenceEngine::run(const math::Matrix &x, int *labels,
+                     ir::ExecutablePlan::Scratch &scratch) const
+{
     batchesCounter_->add();
     rowsCounter_->add(x.rows());
     std::size_t workers = jobs();
     if (workers <= 1 || x.rows() < options_.minRowsToShard) {
-        ir::ExecutablePlan::Scratch scratch;
         plan_.runRange(x, 0, x.rows(), labels, scratch);
         return;
     }

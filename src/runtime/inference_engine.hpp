@@ -90,6 +90,17 @@ class InferenceEngine
     void run(const math::Matrix &x, int *labels) const;
     void run(const ir::QuantizedMatrix &x, int *labels) const;
 
+    /**
+     * As run(x, labels), executing inline batches in the caller-owned
+     * @p scratch instead of a fresh arena per call, so a long-lived
+     * caller (one Server batcher, one Router::Scratch) runs its hops
+     * allocation-free. The arena stays per-caller on purpose: shards
+     * share engines across batcher threads. Sharded batches use the
+     * engine's per-worker arenas and leave @p scratch untouched.
+     */
+    void run(const math::Matrix &x, int *labels,
+             ir::ExecutablePlan::Scratch &scratch) const;
+
     const ir::ExecutablePlan &plan() const { return plan_; }
     const EngineOptions &options() const { return options_; }
 

@@ -385,7 +385,8 @@ Router::runBatch(const Snapshot &snapshot, std::size_t lane,
                          models_[m])
                             .c_str());
                 }
-                epoch.engine.run(scratch.input, scratch.labels.data());
+                epoch.engine.run(scratch.input, scratch.labels.data(),
+                                 scratch.engine);
             } catch (...) {
                 // The batch is the caller's to fail or retry; the
                 // breaker just learns this model is misbehaving.

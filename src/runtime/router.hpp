@@ -210,6 +210,9 @@ class Router
         std::vector<int> labels;
         std::vector<std::vector<std::size_t>> current;  ///< per model.
         std::vector<std::vector<std::size_t>> next;
+        /** Engine arena shared by every hop (each plan resizes it to
+         *  its own shape; capacity is kept across hops and batches). */
+        ir::ExecutablePlan::Scratch engine;
     };
 
     /**

@@ -386,7 +386,8 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
             }
             injector_->maybe(faults::kSiteEngineRun);
             buffers.labels.resize(rows);
-            engine_->run(buffers.features, buffers.labels.data());
+            engine_->run(buffers.features, buffers.labels.data(),
+                         buffers.engineScratch);
         }
     } catch (const std::exception &e) {
         if (rows > 1 && depth < config_.retryDepth) {

@@ -350,6 +350,7 @@ class Server
     {
         math::Matrix features;
         std::vector<int> labels;
+        ir::ExecutablePlan::Scratch engineScratch;  ///< single-model.
         Router::Scratch scratch;
         std::vector<RouteTrace> traces;
         std::vector<RouteStepStats> steps;

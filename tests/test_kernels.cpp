@@ -16,8 +16,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <string>
 
 #include "backends/mat_pipeline.hpp"
 #include "common/fixed_point.hpp"
@@ -389,6 +391,74 @@ TEST(KernelDiff, SingleOutputAndSingleFeatureEdges)
     }
 }
 
+TEST(KernelDiff, DenseOutputDimSweepCoversBlockRemainder)
+{
+    // The AVX2 dense kernels compute 4 outputs per block plus a
+    // 1-output remainder: widths 1..9 hit every remainder (0..3) with
+    // zero, one and two full blocks, both in the hidden layer and in
+    // the final (class) layer. 37 rows leave a partial lane group on
+    // both the 8-lane and the 16-lane path.
+    const hc::FixedPointFormat formats[] = {{4, 4}, {8, 8}};
+    for (const hc::FixedPointFormat &format : formats) {
+        for (std::size_t width = 1; width <= 9; ++width) {
+            int classes = static_cast<int>(std::max<std::size_t>(2, width));
+            auto model = randomMlpIr(format, 7, {width}, classes,
+                                     ml::Activation::kRelu, 500 + width);
+            auto x = randomFeatures(37, model.inputDim, 600 + width);
+            expectAllTargetsMatchInterpreter(
+                model, x, "mlp width " + std::to_string(width));
+        }
+    }
+}
+
+TEST(KernelDiff, UnalignedSubRangeWritesOnlyLiveLanes)
+{
+    // runRange over [3, 3 + rows) puts the lane groups off the matrix's
+    // alignment and leaves a partial last group for every rows value
+    // that is not a lane multiple. The label slice is framed by
+    // sentinels: a zero-padded lane that wrote its label back would
+    // overwrite one. Both input overloads run the same sweep.
+    constexpr std::size_t kBegin = 3;
+    constexpr std::size_t kMaxRows = 17;
+    constexpr std::size_t kGuard = hk::kDenseLanes16;
+    constexpr int kSentinel = -7;
+    const hc::FixedPointFormat formats[] = {{4, 4}, {8, 8}};
+    for (const hc::FixedPointFormat &format : formats) {
+        auto model = randomMlpIr(format, 6, {10, 5}, 3,
+                                 ml::Activation::kRelu, 700);
+        auto x = randomFeatures(kBegin + kMaxRows + 3, model.inputDim, 701);
+        hi::QuantizedMatrix qx(x, format);
+        auto reference = interpretRows(model, x);
+        for (hk::KernelTarget target : hk::KernelDispatch::available()) {
+            auto plan = hi::ExecutablePlan::compile(model);
+            plan.forceKernelTarget(target);
+            hi::ExecutablePlan::Scratch scratch;
+            for (std::size_t rows = 1; rows <= kMaxRows; ++rows) {
+                for (bool quantized : {false, true}) {
+                    std::vector<int> labels(rows + 2 * kGuard, kSentinel);
+                    int *slice = labels.data() + kGuard;
+                    if (quantized)
+                        plan.runRange(qx, kBegin, kBegin + rows, slice,
+                                      scratch);
+                    else
+                        plan.runRange(x, kBegin, kBegin + rows, slice,
+                                      scratch);
+                    std::vector<int> expected(rows + 2 * kGuard, kSentinel);
+                    std::copy_n(reference.begin() + kBegin, rows,
+                                expected.begin() + kGuard);
+                    EXPECT_EQ(labels, expected)
+                        << rows << " rows, "
+                        << (quantized ? "quantized" : "double")
+                        << " input, target "
+                        << hk::kernelTargetName(target) << " (format Q"
+                        << format.integerBits() << "."
+                        << format.fracBits() << ")";
+                }
+            }
+        }
+    }
+}
+
 TEST(KernelMat, BatchWalkMatchesPerRowOnEveryTarget)
 {
     KernelEnvGuard guard;
@@ -470,4 +540,40 @@ TEST(KernelEngine, RegistryPerLoadOverridePinsScalar)
     ASSERT_NE(pinned->engine.plan().forcedKernels(), nullptr);
     auto x = randomFeatures(128, model.inputDim, 82);
     EXPECT_EQ(pinned->engine.run(x), dispatched->engine.run(x));
+}
+
+TEST(KernelEngine, CallerScratchServesEveryPlanWithoutRegrowing)
+{
+    // One caller-owned arena threaded through two engines of different
+    // shapes and tiers, the way Router::Scratch serves every hop: the
+    // labels match the interpreter, and once the arena has grown to the
+    // larger plan, alternating hops stop reallocating it.
+    auto front = randomMlpIr(hc::FixedPointFormat(8, 8), 16, {8}, 3,
+                             ml::Activation::kRelu, 91);
+    auto deep = randomMlpIr(hc::FixedPointFormat(4, 4), 16, {64, 64}, 2,
+                            ml::Activation::kRelu, 92);
+    auto x = randomFeatures(13, 16, 93);
+    hr::InferenceEngine front_engine = hr::InferenceEngine::fromModel(front);
+    hr::InferenceEngine deep_engine = hr::InferenceEngine::fromModel(deep);
+    hi::ExecutablePlan::Scratch scratch;
+    std::vector<int> labels(x.rows());
+    // The narrow plan sizes `quantized` to a lane group, the int8 plan
+    // to one row: it shrinks and regrows every round.
+    const std::int32_t *quantized = nullptr;
+    const std::int32_t *act = nullptr;
+    const std::int16_t *act16 = nullptr;
+    for (int round = 0; round < 3; ++round) {
+        front_engine.run(x, labels.data(), scratch);
+        EXPECT_EQ(labels, interpretRows(front, x));
+        deep_engine.run(x, labels.data(), scratch);
+        EXPECT_EQ(labels, interpretRows(deep, x));
+        if (round > 0) {
+            EXPECT_EQ(scratch.quantized.data(), quantized);
+            EXPECT_EQ(scratch.actA.data(), act);
+            EXPECT_EQ(scratch.act16A.data(), act16);
+        }
+        quantized = scratch.quantized.data();
+        act = scratch.actA.data();
+        act16 = scratch.act16A.data();
+    }
 }
