@@ -1,5 +1,10 @@
 #include "core/compiler.hpp"
 
+#include <algorithm>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -36,80 +41,6 @@ CompileReport::find(const std::string &spec_name) const
 
 namespace {
 
-/**
- * One family's full constrained-BO search. Self-contained: every mutable
- * object (search space, surrogate, best-evaluation cache) is local, the
- * RNG seed derives only from (session seed, family), and the platform is
- * used through its const interface — which is what makes the parallel
- * session bit-identical for a fixed seed at any pool width.
- */
-FamilySearch
-searchOneFamily(Algorithm algorithm, const ModelSpec &spec,
-                const backends::Platform &target, const ml::DataSplit &split,
-                const CompileOptions &options,
-                const backends::EvalOptions &eval,
-                const std::function<bool()> &should_stop,
-                const std::function<void(std::size_t, std::size_t)>
-                    &on_evaluation)
-{
-    FamilySearch out;
-    out.algorithm = algorithm;
-    try {
-        opt::SearchSpace space = buildDesignSpace(algorithm, spec, target);
-
-        // Cache the best evaluation per family so the winner's IR does
-        // not need retraining after the search.
-        opt::ObjectiveFn objective =
-            [&](const opt::Configuration &config) -> opt::EvalResult {
-            CandidateEvaluation evaluation = evaluateCandidate(
-                algorithm, config, spec, split, target, options.seed,
-                eval);
-            bool better =
-                evaluation.report.feasible &&
-                (!out.hasBest || evaluation.objective > out.best.objective);
-            if (better) {
-                out.best = evaluation;
-                out.hasBest = true;
-            }
-            return toEvalResult(evaluation);
-        };
-
-        opt::BoConfig bo_config = options.bo;
-        bo_config.seed = options.seed ^
-                         (0x9E37ull * (static_cast<std::uint64_t>(
-                                           algorithmKind(algorithm)) + 1));
-        // Chain rather than clobber hooks the caller set on options.bo.
-        if (std::function<bool()> user_stop = bo_config.shouldStop) {
-            bo_config.shouldStop = [user_stop, should_stop] {
-                return user_stop() || (should_stop && should_stop());
-            };
-        } else {
-            bo_config.shouldStop = should_stop;
-        }
-        if (std::function<void(std::size_t, std::size_t)> user_eval =
-                bo_config.onEvaluation) {
-            bo_config.onEvaluation = [user_eval, on_evaluation](
-                                         std::size_t done,
-                                         std::size_t total) {
-                user_eval(done, total);
-                if (on_evaluation)
-                    on_evaluation(done, total);
-            };
-        } else {
-            bo_config.onEvaluation = on_evaluation;
-        }
-        opt::BayesianOptimizer optimizer(space, bo_config);
-        out.search = optimizer.optimize(objective);
-    } catch (const std::exception &error) {
-        out.failed = true;
-        out.error = error.what();
-    } catch (...) {
-        out.failed = true;
-        out.error = "unknown exception";
-    }
-    return out;
-}
-
 /** One (spec, family) unit of search work, writing into @p slot. */
 struct FamilyWork
 {
@@ -122,11 +53,204 @@ struct FamilyWork
 };
 
 /**
- * Fan a list of family searches out over the options' pool, wiring
- * cancellation and per-family progress events. CompileSession::
- * searchFamilies and searchSpec() both orchestrate through this one
- * helper, which keeps their behavior — and the determinism guarantee —
- * identical. @p notify must already be serialized (or empty).
+ * One family's constrained-BO search, split at the warm-up: every mutable
+ * object (search space, optimizer, best-evaluation cache) is owned here,
+ * the RNG seed derives only from (session seed, family), and the platform
+ * is used through its const interface. Warm-up results are told to the
+ * optimizer, and folded into the best-evaluation cache, strictly in
+ * warm-up index order whatever order the pool finishes them in — which
+ * is what keeps the session bit-identical for a fixed seed at any pool
+ * width.
+ */
+struct FamilyRun
+{
+    /** One warm-up configuration's outcome, filled in by its pool task.
+     *  Neither set: still running, skipped on shouldStop, or not run. */
+    struct Warmup
+    {
+        std::optional<CandidateEvaluation> evaluation;  ///< until told.
+        std::optional<std::string> error;  ///< the evaluation threw.
+    };
+
+    const FamilyWork *work = nullptr;
+    backends::EvalOptions eval;
+    std::unique_ptr<opt::BayesianOptimizer> optimizer;
+    std::vector<opt::Configuration> warmup;  ///< the optimizer's batch.
+
+    /** Guards everything below, and *work->slot while warm-up tasks run. */
+    std::mutex mutex;
+    std::vector<Warmup> results;  ///< per warm-up index.
+    std::size_t told = 0;  ///< warm-up prefix told to the optimizer.
+    /** Lowest skipped or failed warm-up index: later ones are not run. */
+    std::size_t firstGap = 0;
+
+    CandidateEvaluation
+    evaluate(const opt::Configuration &config,
+             const backends::Platform &target,
+             const CompileOptions &options) const
+    {
+        return evaluateCandidate(work->algorithm, config, *work->spec,
+                                 *work->split, target, options.seed, eval);
+    }
+
+    /**
+     * Cache @p evaluation as the family's best when it beats the best so
+     * far, so the winner's IR needs no retraining after the search; then
+     * return what the optimizer is told. Called in evaluation order.
+     */
+    opt::EvalResult
+    keep(CandidateEvaluation evaluation)
+    {
+        FamilySearch &out = *work->slot;
+        opt::EvalResult result = toEvalResult(evaluation);
+        if (evaluation.report.feasible &&
+            (!out.hasBest || evaluation.objective > out.best.objective)) {
+            out.best = std::move(evaluation);
+            out.hasBest = true;
+        }
+        return result;
+    }
+
+    void
+    fail(std::string error)
+    {
+        work->slot->failed = true;
+        work->slot->error = std::move(error);
+    }
+};
+
+std::string
+describeException(std::exception_ptr error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &caught) {
+        return caught.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
+/**
+ * Build @p run's optimizer and draw its warm-up batch; chains rather than
+ * clobbers the hooks the caller set on options.bo.
+ */
+void
+prepareFamily(FamilyRun &run, const backends::Platform &target,
+              const CompileOptions &options,
+              const std::function<bool()> &should_stop,
+              const std::function<void(const ProgressEvent &)> &notify)
+{
+    const FamilyWork &item = *run.work;
+    item.slot->algorithm = item.algorithm;
+    run.eval.jobs = options.inferJobs;
+    run.eval.quantCache = item.quantCache;
+    run.eval.executor = options.executor;
+
+    opt::BoConfig bo_config = options.bo;
+    bo_config.seed = options.seed ^
+                     (0x9E37ull * (static_cast<std::uint64_t>(
+                                       algorithmKind(item.algorithm)) + 1));
+    if (std::function<bool()> user_stop = bo_config.shouldStop) {
+        bo_config.shouldStop = [user_stop, should_stop] {
+            return user_stop() || should_stop();
+        };
+    } else {
+        bo_config.shouldStop = should_stop;
+    }
+    auto progress = [&notify, &item](std::size_t done, std::size_t total) {
+        if (!notify)
+            return;
+        ProgressEvent event;
+        event.stage = Stage::kSearchFamilies;
+        event.specName = item.spec->name;
+        event.family = algorithmName(item.algorithm);
+        event.evalsDone = done;
+        event.evalsTotal = total;
+        notify(event);
+    };
+    if (std::function<void(std::size_t, std::size_t)> user_eval =
+            bo_config.onEvaluation) {
+        bo_config.onEvaluation = [user_eval, progress](std::size_t done,
+                                                       std::size_t total) {
+            user_eval(done, total);
+            progress(done, total);
+        };
+    } else {
+        bo_config.onEvaluation = progress;
+    }
+
+    run.optimizer = std::make_unique<opt::BayesianOptimizer>(
+        buildDesignSpace(item.algorithm, *item.spec, target), bo_config);
+    run.warmup = run.optimizer->ask();
+    run.results.resize(run.warmup.size());
+    run.firstGap = run.warmup.size();
+}
+
+/**
+ * Evaluate warm-up configuration @p index of @p run (one pool task), then
+ * tell the optimizer every result that now extends the in-order prefix.
+ * A task that sees shouldStop, or whose evaluation throws, leaves a gap:
+ * nothing after it is run or told.
+ */
+void
+runWarmupTask(FamilyRun &run, std::size_t index,
+              const backends::Platform &target, const CompileOptions &options)
+{
+    {
+        std::lock_guard<std::mutex> lock(run.mutex);
+        if (index > run.firstGap || run.work->slot->failed)
+            return;
+    }
+    const opt::BoConfig &bo = run.optimizer->config();
+    const bool stopped = bo.shouldStop && bo.shouldStop();
+    FamilyRun::Warmup outcome;
+    if (!stopped) {
+        try {
+            outcome.evaluation =
+                run.evaluate(run.warmup[index], target, options);
+        } catch (...) {
+            outcome.error = describeException(std::current_exception());
+        }
+    }
+
+    // The tells stay under the lock, progress events included: the
+    // optimizer must see results in index order, and two workers
+    // finishing together must not interleave theirs.
+    std::lock_guard<std::mutex> lock(run.mutex);
+    if (stopped || outcome.error)
+        run.firstGap = std::min(run.firstGap, index);
+    run.results[index] = std::move(outcome);
+    while (run.told < run.results.size() && !run.work->slot->failed) {
+        FamilyRun::Warmup &next = run.results[run.told];
+        if (next.error) {
+            run.fail(*next.error);
+            break;
+        }
+        if (!next.evaluation)
+            break;
+        try {
+            run.optimizer->tell(run.warmup[run.told],
+                                run.keep(std::move(*next.evaluation)));
+        } catch (...) {
+            run.fail(describeException(std::current_exception()));
+            break;
+        }
+        next.evaluation.reset();
+        ++run.told;
+    }
+}
+
+/**
+ * Run a list of family searches on the options' pool, wiring cancellation
+ * and per-family progress events. Two dispatches: first one flat
+ * `jobs`-wide dispatch over every (spec, family, warm-up index) — no
+ * warm-up draw depends on an earlier result, so this is where the pool
+ * fills up even when one family dominates — then one task per family for
+ * its surrogate-guided phase. CompileSession::searchFamilies and
+ * searchSpec() both orchestrate through this one helper, which keeps
+ * their behavior — and the determinism guarantee — identical. @p notify
+ * must already be serialized (or empty).
  */
 void
 runFamilySearches(const std::vector<FamilyWork> &work,
@@ -135,34 +259,53 @@ runFamilySearches(const std::vector<FamilyWork> &work,
                   const std::function<void(const ProgressEvent &)> &notify)
 {
     CancellationToken token = options.cancelToken;
-    auto should_stop = [token] { return token.cancelRequested(); };
+    std::function<bool()> should_stop = [token] {
+        return token.cancelRequested();
+    };
     runtime::Executor &pool =
         options.executor != nullptr ? *options.executor
                                     : runtime::Executor::processDefault();
-    pool.run(
-        options.jobs, work.size(),
-        [&](std::size_t index, std::size_t) {
-            const FamilyWork &item = work[index];
-            auto progress = [&notify, &item](std::size_t done,
-                                             std::size_t total) {
-                if (!notify)
-                    return;
-                ProgressEvent event;
-                event.stage = Stage::kSearchFamilies;
-                event.specName = item.spec->name;
-                event.family = algorithmName(item.algorithm);
-                event.evalsDone = done;
-                event.evalsTotal = total;
-                notify(event);
-            };
-            backends::EvalOptions eval;
-            eval.jobs = options.inferJobs;
-            eval.quantCache = item.quantCache;
-            eval.executor = options.executor;
-            *item.slot = searchOneFamily(item.algorithm, *item.spec,
-                                         target, *item.split, options,
-                                         eval, should_stop, progress);
-        });
+
+    // Families and their warm-up tasks, flattened family-major.
+    std::vector<FamilyRun> runs(work.size());
+    std::vector<std::pair<FamilyRun *, std::size_t>> warmup_tasks;
+    for (std::size_t f = 0; f < work.size(); ++f) {
+        FamilyRun &run = runs[f];
+        run.work = &work[f];
+        try {
+            prepareFamily(run, target, options, should_stop, notify);
+        } catch (...) {
+            run.fail(describeException(std::current_exception()));
+            continue;
+        }
+        for (std::size_t i = 0; i < run.warmup.size(); ++i)
+            warmup_tasks.emplace_back(&run, i);
+    }
+
+    pool.run(options.jobs, warmup_tasks.size(),
+             [&](std::size_t task, std::size_t) {
+                 auto [run, index] = warmup_tasks[task];
+                 runWarmupTask(*run, index, target, options);
+             });
+
+    pool.run(options.jobs, runs.size(), [&](std::size_t f, std::size_t) {
+        FamilyRun &run = runs[f];
+        FamilySearch &out = *run.work->slot;
+        if (out.failed)
+            return;
+        if (run.told < run.warmup.size()) {
+            out.search = run.optimizer->cancel();  // stopped mid-warm-up.
+            return;
+        }
+        opt::ObjectiveFn objective = [&](const opt::Configuration &config) {
+            return run.keep(run.evaluate(config, target, options));
+        };
+        try {
+            out.search = run.optimizer->optimize(objective);
+        } catch (...) {
+            run.fail(describeException(std::current_exception()));
+        }
+    });
 }
 
 void

@@ -100,11 +100,15 @@ struct CompileOptions
     opt::BoConfig bo;
     std::uint64_t seed = 9;      ///< training/search determinism.
     bool emitCode = true;        ///< run the backend code generator.
-    std::size_t jobs = 1;        ///< family-search pool width (0 = #cores).
+    /**
+     * Search pool width (0 = #cores): every family's warm-up candidates
+     * go out as one flat dispatch, then the per-family guided phases.
+     */
+    std::size_t jobs = 1;
     /**
      * Row-shard width for scoring each candidate on its test partition
      * (0 = one per hardware thread, 1 = inline). Orthogonal to `jobs`:
-     * `jobs` parallelizes across family searches, `inferJobs`
+     * `jobs` parallelizes across candidates and families, `inferJobs`
      * parallelizes inside one candidate's evaluate — useful when specs
      * have few families but large test partitions. Results are
      * bit-identical at any width.

@@ -77,13 +77,12 @@ class Mlp
                        std::vector<std::vector<double>> biases);
 
   private:
-    /** Forward pass storing per-layer activations for backprop. */
-    void forward(const math::Matrix &x,
-                 std::vector<math::Matrix> &activations) const;
-
-    math::Matrix applyActivation(const math::Matrix &z) const;
-    math::Matrix activationDerivative(const math::Matrix &activated) const;
-    static math::Matrix softmaxRows(const math::Matrix &z);
+    /**
+     * Forward pass from activations[0] (the input rows): writes every
+     * later layer's activations in place, reusing the buffers when they
+     * are already shaped — train() keeps one set for all its minibatches.
+     */
+    void forward(std::vector<math::Matrix> &activations) const;
 
     MlpConfig config_;
     std::vector<math::Matrix> weights_;
@@ -92,6 +91,13 @@ class Mlp
     // Adam state (allocated lazily on first train step).
     std::vector<math::Matrix> adamMW_, adamVW_;
     std::vector<std::vector<double>> adamMB_, adamVB_;
+    /**
+     * Adam's bias-correction step. Known quirk, kept on purpose: train()
+     * advances it once per layer per minibatch, not once per minibatch,
+     * so an L-layer network's correction runs L times too fast (and the
+     * layers of one step see different corrections). Fixing it changes
+     * every trained model and therefore every search winner.
+     */
     std::size_t adamStep_ = 0;
 };
 

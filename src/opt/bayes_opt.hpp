@@ -95,21 +95,77 @@ struct BoResult
     std::vector<double> bestSoFarSeries() const;
 };
 
-/** The optimizer. */
+/**
+ * The optimizer, driven either end to end by optimize() or step by step
+ * through ask()/tell().
+ *
+ * The ask/tell split exists because the warm-up phase has no data
+ * dependence: every uniform draw is made before any result comes back, so
+ * a caller may evaluate the whole warm-up batch concurrently (the
+ * compiler evaluates every family's batch in one flat pool dispatch) and
+ * tell the results afterwards. Results must be told in the order ask()
+ * handed the configurations out; then the trace is bit-identical to a
+ * serial optimize() run.
+ */
 class BayesianOptimizer
 {
   public:
     BayesianOptimizer(SearchSpace space, BoConfig config);
 
-    /** Run warmup + BO iterations against the black box. */
+    /**
+     * Run the search against the black box: evaluate every configuration
+     * ask() hands out, polling BoConfig::shouldStop before each one, and
+     * tell() each result back. Starts from wherever the run is — a fresh
+     * optimizer runs the whole warm-up + BO budget; one whose warm-up
+     * batch the caller already told continues with the guided phase —
+     * then hands the result over and restarts, so a second call repeats
+     * the same search.
+     */
     BoResult optimize(const ObjectiveFn &objective);
+
+    /**
+     * The next configurations to evaluate: the first call returns the
+     * whole numInitSamples warm-up batch (uniform draws), every later
+     * call one surrogate-guided configuration fitted on everything told
+     * so far, and an empty batch once the budget is spent.
+     */
+    std::vector<Configuration> ask();
+
+    /** Record one evaluation (in ask() order); fires onEvaluation. */
+    void tell(const Configuration &config, const EvalResult &eval);
+
+    /** End the run early: hand over the trace so far, marked cancelled,
+     *  and restart. */
+    BoResult cancel();
 
     const SearchSpace &space() const { return space_; }
     const BoConfig &config() const { return config_; }
 
   private:
+    /** Everything one run accumulates; replaced wholesale on restart. */
+    struct Run
+    {
+        explicit Run(std::uint64_t seed) : rng(seed) {}
+
+        common::Rng rng;
+        BoResult result;
+        double best = 0.0;  ///< best feasible objective so far.
+        std::vector<std::vector<double>> encoded;
+        std::vector<double> objectives;
+        std::vector<double> costs;     ///< multi-objective cost per eval.
+        std::vector<int> feasibility;  ///< 1 = feasible.
+        bool warmupAsked = false;
+        std::size_t guidedAsked = 0;
+    };
+
+    Run freshRun() const;
+    Configuration askGuided();
+    /** Hand the result over and start a fresh run. */
+    BoResult finish();
+
     SearchSpace space_;
     BoConfig config_;
+    Run run_;
 };
 
 /** Uniform random search at equal budget — the ablation baseline. */

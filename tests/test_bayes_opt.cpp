@@ -184,3 +184,134 @@ TEST(BayesOpt, MinimizationModeWorks)
     auto result = optimizer.optimize(cost);
     EXPECT_LT(result.bestResult.objective, 2.0);
 }
+
+namespace {
+
+/** Bowl with a feasibility cut and a "cost" metric, so the ask/tell
+ *  comparison exercises the feasibility model and multi-objective mode. */
+ho::EvalResult
+constrainedBowl(const ho::Configuration &config)
+{
+    ho::EvalResult result = bowl(config);
+    result.feasible = config.real("x") > -6.0;
+    result.metrics["cost"] = std::fabs(config.real("y"));
+    return result;
+}
+
+void
+expectSameTrace(const ho::BoResult &a, const ho::BoResult &b)
+{
+    EXPECT_EQ(a.cancelled, b.cancelled);
+    EXPECT_EQ(a.foundFeasible, b.foundFeasible);
+    ASSERT_EQ(a.history.size(), b.history.size());
+    for (std::size_t i = 0; i < a.history.size(); ++i) {
+        const ho::BoRecord &ra = a.history[i];
+        const ho::BoRecord &rb = b.history[i];
+        EXPECT_EQ(ra.config.toString(), rb.config.toString()) << i;
+        EXPECT_EQ(ra.result.objective, rb.result.objective) << i;
+        EXPECT_EQ(ra.result.feasible, rb.result.feasible) << i;
+        EXPECT_EQ(ra.bestSoFar, rb.bestSoFar) << i;
+        EXPECT_EQ(ra.fromWarmup, rb.fromWarmup) << i;
+    }
+    EXPECT_EQ(a.bestConfig.toString(), b.bestConfig.toString());
+    ASSERT_EQ(a.front.size(), b.front.size());
+    for (std::size_t i = 0; i < a.front.size(); ++i) {
+        EXPECT_EQ(a.front.points()[i].config.toString(),
+                  b.front.points()[i].config.toString());
+        EXPECT_EQ(a.front.points()[i].objective,
+                  b.front.points()[i].objective);
+        EXPECT_EQ(a.front.points()[i].cost, b.front.points()[i].cost);
+    }
+}
+
+}  // namespace
+
+TEST(BayesOpt, AskTellReproducesOptimize)
+{
+    for (const char *cost_key : {"", "cost"}) {
+        ho::BoConfig config;
+        config.numInitSamples = 5;
+        config.numIterations = 6;
+        config.seed = 31;
+        config.costMetricKey = cost_key;
+        std::size_t events = 0;
+        config.onEvaluation = [&events](std::size_t done, std::size_t total) {
+            EXPECT_EQ(done, ++events);
+            EXPECT_EQ(total, 11u);
+        };
+
+        ho::BayesianOptimizer reference(bowlSpace(), config);
+        ho::BoResult expected = reference.optimize(constrainedBowl);
+        EXPECT_EQ(events, 11u);
+        if (*cost_key != '\0') {
+            EXPECT_FALSE(expected.front.empty());
+        }
+
+        // Hand-driven: the whole warm-up batch is asked first and
+        // evaluated out of order before any result is told, as the
+        // compiler's flat pool dispatch does.
+        events = 0;
+        ho::BayesianOptimizer driven(bowlSpace(), config);
+        std::vector<ho::Configuration> warmup = driven.ask();
+        ASSERT_EQ(warmup.size(), 5u);
+        std::vector<ho::EvalResult> results(warmup.size());
+        for (std::size_t i = warmup.size(); i-- > 0;)
+            results[i] = constrainedBowl(warmup[i]);
+        for (std::size_t i = 0; i < warmup.size(); ++i)
+            driven.tell(warmup[i], results[i]);
+        std::size_t guided = 0;
+        for (auto batch = driven.ask(); !batch.empty(); batch = driven.ask()) {
+            ASSERT_EQ(batch.size(), 1u);
+            driven.tell(batch.front(), constrainedBowl(batch.front()));
+            ++guided;
+        }
+        EXPECT_EQ(guided, 6u);
+        ho::BoResult actual = driven.optimize(constrainedBowl);
+        expectSameTrace(expected, actual);
+
+        // optimize() handed the run over and restarted: a second call
+        // repeats the same search.
+        events = 0;
+        expectSameTrace(expected, reference.optimize(constrainedBowl));
+    }
+}
+
+TEST(BayesOpt, StopMidWarmupReturnsEvaluatedPrefix)
+{
+    std::size_t evaluations = 0;
+    ho::BoConfig config;
+    config.numInitSamples = 6;
+    config.numIterations = 4;
+    config.seed = 8;
+    config.shouldStop = [&evaluations] { return evaluations == 3; };
+    auto counted = [&evaluations](const ho::Configuration &c) {
+        ++evaluations;
+        return bowl(c);
+    };
+    ho::BayesianOptimizer optimizer(bowlSpace(), config);
+    ho::BoResult result = optimizer.optimize(counted);
+    EXPECT_TRUE(result.cancelled);
+    ASSERT_EQ(result.history.size(), 3u);
+    EXPECT_EQ(evaluations, 3u);
+
+    // The prefix is exactly the first three draws of the full run.
+    config.shouldStop = nullptr;
+    ho::BayesianOptimizer full(bowlSpace(), config);
+    ho::BoResult complete = full.optimize(bowl);
+    ASSERT_EQ(complete.history.size(), 10u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(result.history[i].config.toString(),
+                  complete.history[i].config.toString());
+        EXPECT_EQ(result.history[i].bestSoFar,
+                  complete.history[i].bestSoFar);
+        EXPECT_TRUE(result.history[i].fromWarmup);
+    }
+
+    // Ask/tell: telling a prefix and cancelling gives the same trace.
+    ho::BayesianOptimizer driven(bowlSpace(), config);
+    std::vector<ho::Configuration> warmup = driven.ask();
+    for (std::size_t i = 0; i < 3; ++i)
+        driven.tell(warmup[i], bowl(warmup[i]));
+    ho::BoResult cancelled = driven.cancel();
+    expectSameTrace(result, cancelled);
+}

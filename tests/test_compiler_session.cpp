@@ -136,34 +136,41 @@ TEST(CompilerSession, ResultsBitIdenticalAcrossJobs)
         return compiled.value();
     };
 
+    // Width 2 and 4 split the flat warm-up dispatch differently (and
+    // width 4 runs all four families' guided phases at once).
     hcore::CompileReport serial = run(1);
-    hcore::CompileReport parallel = run(4);
+    for (std::size_t jobs : {2u, 4u}) {
+        hcore::CompileReport parallel = run(jobs);
+        const auto *model_serial = serial.find("ad");
+        const auto *model_parallel = parallel.find("ad");
+        ASSERT_NE(model_serial, nullptr);
+        ASSERT_NE(model_parallel, nullptr);
 
-    const auto *model_serial = serial.find("ad");
-    const auto *model_parallel = parallel.find("ad");
-    ASSERT_NE(model_serial, nullptr);
-    ASSERT_NE(model_parallel, nullptr);
+        EXPECT_EQ(model_serial->algorithm, model_parallel->algorithm);
+        EXPECT_EQ(model_serial->objective, model_parallel->objective);
+        EXPECT_EQ(model_serial->code, model_parallel->code);
 
-    EXPECT_EQ(model_serial->algorithm, model_parallel->algorithm);
-    EXPECT_EQ(model_serial->objective, model_parallel->objective);
-    EXPECT_EQ(model_serial->code, model_parallel->code);
-
-    // Every family's full trace must match evaluation by evaluation.
-    ASSERT_EQ(model_serial->perAlgorithm.size(), 4u);
-    ASSERT_EQ(model_parallel->perAlgorithm.size(), 4u);
-    for (const auto &[family, trace] : model_serial->perAlgorithm) {
-        const auto &other = model_parallel->perAlgorithm.at(family);
-        ASSERT_EQ(trace.history.size(), other.history.size()) << family;
-        for (std::size_t i = 0; i < trace.history.size(); ++i) {
-            EXPECT_EQ(trace.history[i].result.objective,
-                      other.history[i].result.objective)
-                << family << " eval " << i;
-            EXPECT_EQ(trace.history[i].result.feasible,
-                      other.history[i].result.feasible)
-                << family << " eval " << i;
+        // Every family's full trace must match evaluation by evaluation.
+        ASSERT_EQ(model_serial->perAlgorithm.size(), 4u);
+        ASSERT_EQ(model_parallel->perAlgorithm.size(), 4u);
+        for (const auto &[family, trace] : model_serial->perAlgorithm) {
+            const auto &other = model_parallel->perAlgorithm.at(family);
+            ASSERT_EQ(trace.history.size(), other.history.size())
+                << family << " jobs " << jobs;
+            for (std::size_t i = 0; i < trace.history.size(); ++i) {
+                EXPECT_EQ(trace.history[i].config.toString(),
+                          other.history[i].config.toString())
+                    << family << " eval " << i << " jobs " << jobs;
+                EXPECT_EQ(trace.history[i].result.objective,
+                          other.history[i].result.objective)
+                    << family << " eval " << i << " jobs " << jobs;
+                EXPECT_EQ(trace.history[i].result.feasible,
+                          other.history[i].result.feasible)
+                    << family << " eval " << i << " jobs " << jobs;
+            }
+            EXPECT_EQ(trace.bestSoFarSeries(), other.bestSoFarSeries())
+                << family << " jobs " << jobs;
         }
-        EXPECT_EQ(trace.bestSoFarSeries(), other.bestSoFarSeries())
-            << family;
     }
 }
 
@@ -189,6 +196,54 @@ TEST(CompilerSession, CancellationMidSearchReturnsCancelled)
     // The search stage did not complete, and no winner was picked.
     EXPECT_EQ(session.completedStage(), hcore::Stage::kSelectFamilies);
     EXPECT_TRUE(session.report().models.empty());
+}
+
+TEST(CompilerSession, CancelDuringWarmupIsCancelled)
+{
+    auto platform = hcore::Platforms::taurus();
+    platform.constrain({1.0, 500.0}, {16, 16});
+    auto spec = adSpec(600);
+    spec.algorithms = {hcore::Algorithm::kDnn, hcore::Algorithm::kSvm};
+    platform.schedule(spec);
+
+    for (std::size_t jobs : {1u, 2u}) {
+        auto options = tinyOptions();
+        options.bo.numInitSamples = 6;
+        options.jobs = jobs;
+        hcore::CancellationToken token = options.cancelToken;
+        // The first told warm-up result cancels: every family's warm-up
+        // batch is still in flight.
+        options.observer = [token](const hcore::ProgressEvent &event) {
+            if (event.stage == hcore::Stage::kSearchFamilies)
+                token.requestCancel();
+        };
+
+        hcore::Compiler compiler(options);
+        hcore::CompileSession session = compiler.openSession(platform);
+        hcore::Status status = session.run();
+        EXPECT_EQ(status.code(), hcore::StatusCode::kCancelled) << jobs;
+        EXPECT_EQ(session.completedStage(), hcore::Stage::kSelectFamilies);
+        EXPECT_TRUE(session.report().models.empty());
+
+        // Each family kept only an in-order warm-up prefix, marked
+        // cancelled; with one worker only the first result got told.
+        const auto *searches = session.searchesFor("ad");
+        ASSERT_NE(searches, nullptr);
+        ASSERT_EQ(searches->size(), 2u);
+        std::size_t told = 0;
+        for (const hcore::FamilySearch &family : *searches) {
+            EXPECT_FALSE(family.failed) << family.error;
+            EXPECT_TRUE(family.search.cancelled);
+            EXPECT_LT(family.search.history.size(), 6u);
+            for (const auto &record : family.search.history)
+                EXPECT_TRUE(record.fromWarmup);
+            told += family.search.history.size();
+        }
+        EXPECT_GE(told, 1u);
+        if (jobs == 1) {
+            EXPECT_EQ(told, 1u);
+        }
+    }
 }
 
 TEST(CompilerSession, CancelBeforeRunShortCircuitsEveryStage)

@@ -668,7 +668,9 @@ printUsage(std::ostream &out)
         "  --list-platforms         enumerate registered backends\n"
         "  --algorithms LIST        comma-separated family pool\n"
         "  --init N --iters N       search budget\n"
-        "  --jobs N                 parallel family searches (0 = #cores)\n"
+        "  --jobs N                 search pool width: every family's\n"
+        "                           warm-up candidates, then the\n"
+        "                           per-family searches (0 = #cores)\n"
         "  --infer-jobs N           row-shard width for scoring + replay\n"
         "                           (0 = #cores)\n"
         "  --replay TRACE           serving mode: replay iot:N or a\n"
