@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "math/stats.hpp"
 
 namespace homunculus::net {
 
@@ -21,25 +20,57 @@ FeatureExtractor::featureNames()
 }
 
 double
-FeatureExtractor::payloadEntropy(
-    const std::vector<std::uint8_t> &payload) const
+FeatureExtractor::payloadEntropy(const std::uint8_t *payload,
+                                 std::size_t size) const
 {
-    if (payload.empty())
+    std::size_t sample = std::min(config_.entropySampleBytes, size);
+    if (sample == 0)
         return 0.0;
-    std::size_t sample = std::min(config_.entropySampleBytes,
-                                  payload.size());
-    std::vector<double> counts(256, 0.0);
-    for (std::size_t i = 0; i < sample; ++i)
-        counts[payload[i]] += 1.0;
+    // Byte histogram plus an occupancy bitmap, so the sum below visits
+    // only non-zero bins — in ascending byte order, like math::entropy
+    // over the 256-bin count vector, which keeps the result bit for bit.
+    std::uint32_t counts[256] = {};
+    std::uint64_t occupied[4] = {};
+    for (std::size_t i = 0; i < sample; ++i) {
+        std::uint8_t byte = payload[i];
+        ++counts[byte];
+        occupied[byte >> 6] |= std::uint64_t{1} << (byte & 63);
+    }
+    // Equal counts give equal terms, and a sample has few distinct
+    // counts, so each term p*log(p) is computed once per count (counts
+    // above 255 — only in samples past 255 bytes — skip the memo).
+    double terms[256];
+    std::uint64_t known[4] = {};
+    auto total = static_cast<double>(sample);
+    double h = 0.0;
+    for (std::size_t word = 0; word < 4; ++word) {
+        for (std::uint64_t bits = occupied[word]; bits != 0;
+             bits &= bits - 1) {
+            std::uint32_t w =
+                counts[word * 64 + static_cast<std::size_t>(
+                                       __builtin_ctzll(bits))];
+            double term;
+            if (w < 256 && (known[w >> 6] >> (w & 63) & 1) != 0) {
+                term = terms[w];
+            } else {
+                double p = static_cast<double>(w) / total;
+                term = p * std::log(p);
+                if (w < 256) {
+                    terms[w] = term;
+                    known[w >> 6] |= std::uint64_t{1} << (w & 63);
+                }
+            }
+            h -= term;
+        }
+    }
     // Normalize to [0, 1] against the maximum entropy of the sample.
-    double h = math::entropy(counts);
     double h_max = std::log(static_cast<double>(std::min<std::size_t>(
         256, sample)));
     return h_max > 0.0 ? std::clamp(h / h_max, 0.0, 1.0) : 0.0;
 }
 
 std::vector<double>
-FeatureExtractor::extract(const RawPacket &packet) const
+FeatureExtractor::extract(const PacketView &packet) const
 {
     std::uint16_t src_port = 0, dst_port = 0;
     if (packet.tcp) {
@@ -57,15 +88,21 @@ FeatureExtractor::extract(const RawPacket &packet) const
     features[3] = static_cast<double>(src_port % config_.portBuckets);
     features[4] = static_cast<double>(dst_port % config_.portBuckets);
     features[5] = static_cast<double>(packet.ipv4.tos) / 255.0;
-    features[6] = payloadEntropy(packet.payload);
+    features[6] = payloadEntropy(packet.payload, packet.payloadSize);
     return features;
+}
+
+std::vector<double>
+FeatureExtractor::extract(const RawPacket &packet) const
+{
+    return extract(viewOf(packet));
 }
 
 std::optional<std::vector<double>>
 FeatureExtractor::extractFromWire(
     const std::vector<std::uint8_t> &bytes) const
 {
-    std::optional<RawPacket> packet = parse(bytes);
+    std::optional<PacketView> packet = parseView(bytes.data(), bytes.size());
     if (!packet)
         return std::nullopt;
     return extract(*packet);

@@ -38,9 +38,14 @@ class FeatureExtractor
     explicit FeatureExtractor(FeatureExtractorConfig config = {});
 
     /** Feature vector for one parsed packet (length kNumTcFeatures). */
+    std::vector<double> extract(const PacketView &packet) const;
+
+    /** extract() over viewOf(@p packet). */
     std::vector<double> extract(const RawPacket &packet) const;
 
-    /** Parse bytes then extract; nullopt when the packet is malformed. */
+    /** Parse bytes then extract, without copying the payload; nullopt
+     *  when the packet is malformed. Bit-identical to
+     *  extract(*parse(bytes)). */
     std::optional<std::vector<double>> extractFromWire(
         const std::vector<std::uint8_t> &bytes) const;
 
@@ -50,7 +55,8 @@ class FeatureExtractor
     const FeatureExtractorConfig &config() const { return config_; }
 
   private:
-    double payloadEntropy(const std::vector<std::uint8_t> &payload) const;
+    double payloadEntropy(const std::uint8_t *payload,
+                          std::size_t size) const;
 
     FeatureExtractorConfig config_;
 };

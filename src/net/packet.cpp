@@ -37,18 +37,24 @@ get32(const std::uint8_t *p)
            static_cast<std::uint32_t>(p[3]);
 }
 
-}  // namespace
-
 std::size_t
-RawPacket::wireSize() const
+wireSizeOf(bool tcp, bool udp, std::size_t payload_size)
 {
     std::size_t size = EthernetHeader::kWireSize + Ipv4Header::kWireSize +
-                       payload.size();
+                       payload_size;
     if (tcp)
         size += TcpHeader::kWireSize;
     if (udp)
         size += UdpHeader::kWireSize;
     return size;
+}
+
+}  // namespace
+
+std::size_t
+RawPacket::wireSize() const
+{
+    return wireSizeOf(tcp.has_value(), udp.has_value(), payload.size());
 }
 
 std::uint16_t
@@ -124,36 +130,54 @@ serialize(const RawPacket &packet)
     return out;
 }
 
-std::optional<RawPacket>
-parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
+std::size_t
+PacketView::wireSize() const
 {
-    if (bytes.size() < EthernetHeader::kWireSize + Ipv4Header::kWireSize)
+    return wireSizeOf(tcp.has_value(), udp.has_value(), payloadSize);
+}
+
+PacketView
+viewOf(const RawPacket &packet)
+{
+    PacketView view;
+    view.eth = packet.eth;
+    view.ipv4 = packet.ipv4;
+    view.tcp = packet.tcp;
+    view.udp = packet.udp;
+    view.payload = packet.payload.data();
+    view.payloadSize = packet.payload.size();
+    return view;
+}
+
+std::optional<PacketView>
+parseView(const std::uint8_t *bytes, std::size_t size)
+{
+    if (size < EthernetHeader::kWireSize + Ipv4Header::kWireSize)
         return std::nullopt;
 
-    RawPacket packet;
-    packet.timestampSec = timestamp_sec;
-    const std::uint8_t *p = bytes.data();
+    PacketView view;
+    const std::uint8_t *p = bytes;
 
-    std::memcpy(packet.eth.dst.data(), p, 6);
-    std::memcpy(packet.eth.src.data(), p + 6, 6);
-    packet.eth.etherType = get16(p + 12);
-    if (packet.eth.etherType != kEtherTypeIpv4)
+    std::memcpy(view.eth.dst.data(), p, 6);
+    std::memcpy(view.eth.src.data(), p + 6, 6);
+    view.eth.etherType = get16(p + 12);
+    if (view.eth.etherType != kEtherTypeIpv4)
         return std::nullopt;
     p += EthernetHeader::kWireSize;
 
-    packet.ipv4.versionIhl = p[0];
-    if ((packet.ipv4.versionIhl >> 4) != 4 ||
-        (packet.ipv4.versionIhl & 0x0F) != 5)
+    view.ipv4.versionIhl = p[0];
+    if ((view.ipv4.versionIhl >> 4) != 4 ||
+        (view.ipv4.versionIhl & 0x0F) != 5)
         return std::nullopt;  // options unsupported by this substrate.
-    packet.ipv4.tos = p[1];
-    packet.ipv4.totalLength = get16(p + 2);
-    packet.ipv4.identification = get16(p + 4);
-    packet.ipv4.flagsFragment = get16(p + 6);
-    packet.ipv4.ttl = p[8];
-    packet.ipv4.protocol = p[9];
-    packet.ipv4.checksum = get16(p + 10);
-    packet.ipv4.srcAddr = get32(p + 12);
-    packet.ipv4.dstAddr = get32(p + 16);
+    view.ipv4.tos = p[1];
+    view.ipv4.totalLength = get16(p + 2);
+    view.ipv4.identification = get16(p + 4);
+    view.ipv4.flagsFragment = get16(p + 6);
+    view.ipv4.ttl = p[8];
+    view.ipv4.protocol = p[9];
+    view.ipv4.checksum = get16(p + 10);
+    view.ipv4.srcAddr = get32(p + 12);
+    view.ipv4.dstAddr = get32(p + 16);
 
     // Verify the checksum: recompute with the field zeroed.
     std::array<std::uint8_t, Ipv4Header::kWireSize> header_copy;
@@ -161,14 +185,26 @@ parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
     header_copy[10] = 0;
     header_copy[11] = 0;
     if (ipv4Checksum(header_copy.data(), Ipv4Header::kWireSize) !=
-        packet.ipv4.checksum)
+        view.ipv4.checksum)
         return std::nullopt;
     p += Ipv4Header::kWireSize;
 
-    std::size_t consumed = EthernetHeader::kWireSize + Ipv4Header::kWireSize;
-    if (packet.ipv4.protocol == kProtoTcp) {
-        if (bytes.size() < consumed + TcpHeader::kWireSize)
-            return std::nullopt;
+    std::size_t transport_size = 0;
+    if (view.ipv4.protocol == kProtoTcp)
+        transport_size = TcpHeader::kWireSize;
+    else if (view.ipv4.protocol == kProtoUdp)
+        transport_size = UdpHeader::kWireSize;
+    else
+        return std::nullopt;
+
+    // The datagram must hold its own headers and fit in the frame;
+    // bytes past it (Ethernet trailer padding) are not payload.
+    std::size_t datagram = view.ipv4.totalLength;
+    if (datagram < Ipv4Header::kWireSize + transport_size ||
+        EthernetHeader::kWireSize + datagram > size)
+        return std::nullopt;
+
+    if (view.ipv4.protocol == kProtoTcp) {
         TcpHeader tcp;
         tcp.srcPort = get16(p);
         tcp.dstPort = get16(p + 2);
@@ -179,27 +215,33 @@ parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
         tcp.window = get16(p + 14);
         tcp.checksum = get16(p + 16);
         tcp.urgentPtr = get16(p + 18);
-        packet.tcp = tcp;
-        consumed += TcpHeader::kWireSize;
-        p += TcpHeader::kWireSize;
-    } else if (packet.ipv4.protocol == kProtoUdp) {
-        if (bytes.size() < consumed + UdpHeader::kWireSize)
-            return std::nullopt;
+        view.tcp = tcp;
+    } else {
         UdpHeader udp;
         udp.srcPort = get16(p);
         udp.dstPort = get16(p + 2);
         udp.length = get16(p + 4);
         udp.checksum = get16(p + 6);
-        packet.udp = udp;
-        consumed += UdpHeader::kWireSize;
-        p += UdpHeader::kWireSize;
-    } else {
-        return std::nullopt;
+        view.udp = udp;
     }
+    view.payload = p + transport_size;
+    view.payloadSize = datagram - Ipv4Header::kWireSize - transport_size;
+    return view;
+}
 
-    packet.payload.assign(bytes.begin() +
-                              static_cast<std::ptrdiff_t>(consumed),
-                          bytes.end());
+std::optional<RawPacket>
+parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
+{
+    std::optional<PacketView> view = parseView(bytes.data(), bytes.size());
+    if (!view)
+        return std::nullopt;
+    RawPacket packet;
+    packet.eth = view->eth;
+    packet.ipv4 = view->ipv4;
+    packet.tcp = view->tcp;
+    packet.udp = view->udp;
+    packet.payload.assign(view->payload, view->payload + view->payloadSize);
+    packet.timestampSec = timestamp_sec;
     return packet;
 }
 

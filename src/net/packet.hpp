@@ -96,6 +96,29 @@ struct RawPacket
     std::size_t wireSize() const;
 };
 
+/**
+ * A parsed frame that does not own its payload: the header stack plus a
+ * pointer/length into the caller's frame buffer. The view is valid only
+ * while that buffer is alive and unchanged. It lets the serving front
+ * door extract features from a frame without copying the payload into a
+ * RawPacket.
+ */
+struct PacketView
+{
+    EthernetHeader eth;
+    Ipv4Header ipv4;
+    std::optional<TcpHeader> tcp;   ///< exactly one of tcp/udp is set.
+    std::optional<UdpHeader> udp;
+    const std::uint8_t *payload = nullptr;
+    std::size_t payloadSize = 0;
+
+    /** On-wire length (headers + payload), as RawPacket::wireSize. */
+    std::size_t wireSize() const;
+};
+
+/** A view of @p packet's headers and payload (valid while it lives). */
+PacketView viewOf(const RawPacket &packet);
+
 /** Compute the standard 16-bit ones-complement IPv4 header checksum. */
 std::uint16_t ipv4Checksum(const std::uint8_t *header, std::size_t length);
 
@@ -107,10 +130,25 @@ std::uint16_t ipv4Checksum(const std::uint8_t *header, std::size_t length);
 std::vector<std::uint8_t> serialize(const RawPacket &packet);
 
 /**
- * Parse a wire-format buffer back into a packet.
+ * Parse a wire-format buffer's headers without copying the payload.
+ * The payload is the IPv4 datagram's bytes after the transport header,
+ * bounded by ipv4.totalLength: Ethernet trailer padding past the
+ * datagram is not payload.
  *
- * @return the packet, or std::nullopt when the buffer is truncated, not
- *         IPv4, carries an unknown transport, or fails the checksum.
+ * @return the view (pointing into @p bytes), or std::nullopt when the
+ *         buffer is truncated, shorter than its totalLength, not IPv4,
+ *         carries an unknown transport, fails the checksum, or declares
+ *         a totalLength smaller than its own headers.
+ */
+std::optional<PacketView> parseView(const std::uint8_t *bytes,
+                                    std::size_t size);
+
+/**
+ * Parse a wire-format buffer back into a packet: parseView() plus a
+ * copy of the payload.
+ *
+ * @return the packet, or std::nullopt when parseView() rejects the
+ *         buffer.
  */
 std::optional<RawPacket> parse(const std::vector<std::uint8_t> &bytes,
                                double timestamp_sec = 0.0);

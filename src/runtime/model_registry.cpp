@@ -19,8 +19,8 @@ ModelRegistry::ModelRegistry(EngineOptions engine_options,
 void
 ModelRegistry::count(const char *event, const std::string &name) const
 {
-    // Control-plane events only (loads, swaps, pins, unloads) — the
-    // resolve-under-mutex cost is fine off the per-row hot path.
+    // Control-plane events only (loads, swaps, unloads) — the
+    // resolve-under-mutex cost is fine off the per-batch path.
     metrics_->counter(event, {{"model", name}}).add();
 }
 
@@ -46,6 +46,7 @@ ModelRegistry::load(const std::string &name, const ir::ModelIr &model,
     if (entry.nextVersion == 1) {
         entry.inputDim = model.inputDim;
         entry.numClasses = model.numClasses;
+        entry.pins = &metrics_->counter("registry.pins", {{"model", name}});
     } else if (model.inputDim != entry.inputDim ||
                model.numClasses != entry.numClasses) {
         throw std::runtime_error(common::format(
@@ -117,7 +118,7 @@ ModelRegistry::active(const std::string &name) const
     if (entry.active == 0)
         throw std::out_of_range("ModelRegistry: model '" + name +
                                 "' has no active version");
-    count("registry.pins", name);
+    entry.pins->add();
     return entry.loaded.at(entry.active);
 }
 

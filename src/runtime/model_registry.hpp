@@ -180,6 +180,10 @@ class ModelRegistry
         std::uint64_t nextVersion = 1;
         std::size_t inputDim = 0;  ///< pinned by the first load.
         int numClasses = 0;
+        /** "registry.pins" {model=name}, resolved at the first load:
+         *  pins happen per model per batch, too often to resolve the
+         *  name under the metric registry's mutex each time. */
+        telemetry::Counter *pins = nullptr;
     };
 
     const Entry &entryFor(const std::string &name) const;

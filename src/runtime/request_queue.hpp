@@ -56,7 +56,9 @@
  * mutex + condition variables survive only at the two edges the issue
  * carves out:
  *
- *   - consumer sleep: when no lane is ready the consumer parks on
+ *   - consumer sleep: when no lane is ready the consumer first polls
+ *     the rings for a short, bounded spin (about one park/wake round
+ *     trip, never past the earliest staged deadline), then parks on
  *     readyCv_. Producers detect a sleeping consumer via a flag with a
  *     seq_cst fence on each side (store-buffering pattern: either the
  *     producer observes the flag and notifies, or the consumer's
@@ -437,6 +439,13 @@ class RequestQueue
 
     /** Deliver @p dropped to onDrop (no lock held) and clear it. */
     void fireDrops(std::vector<DroppedRow> &dropped);
+
+    /** Poll the rings for up to kSpinBeforePark, never past
+     *  @p earliest (the soonest staged deadline, or time_point::max()).
+     *  True when a row arrived, the queue closed, or @p earliest came
+     *  due — pop() then looks again without parking. The sleeping_
+     *  flag stays down throughout, so producers skip the wake. */
+    bool spinForWork(std::chrono::steady_clock::time_point earliest) const;
 
     /** Park until a producer or close() signals, or until @p earliest
      *  (the soonest staged deadline) when one exists. */

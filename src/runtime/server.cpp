@@ -200,6 +200,12 @@ Server::submit(std::vector<double> features, std::size_t lane)
 SubmitResult
 Server::submitPacket(const net::RawPacket &packet, std::size_t lane)
 {
+    return submitPacket(net::viewOf(packet), lane);
+}
+
+SubmitResult
+Server::submitPacket(const net::PacketView &packet, std::size_t lane)
+{
     if (inputDim_ != net::kNumTcFeatures)
         throw std::runtime_error(common::format(
             "Server: model expects %zu features but the packet "
@@ -212,7 +218,7 @@ SubmitResult
 Server::submitFrame(const std::vector<std::uint8_t> &frame,
                     std::size_t lane)
 {
-    auto packet = net::parse(frame);
+    auto packet = net::parseView(frame.data(), frame.size());
     if (!packet) {
         // A malformed frame is a per-ticket failure, not an anonymous
         // tick: it gets a ticket from the same sequence as admitted

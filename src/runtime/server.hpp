@@ -305,6 +305,11 @@ class Server
     SubmitResult submitPacket(const net::RawPacket &packet,
                               std::size_t lane = 0);
 
+    /** Extract + admit a parsed frame whose payload stays in the
+     *  caller's buffer (read only during the call). */
+    SubmitResult submitPacket(const net::PacketView &packet,
+                              std::size_t lane = 0);
+
     /** Close admissions, drain, join, and return the stats. Idempotent
      *  (later calls return the same snapshot). */
     ServerStats stop();

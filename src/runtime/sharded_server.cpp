@@ -53,7 +53,7 @@ shardConfig(const ServerConfig &base, std::size_t shard)
 }  // namespace
 
 std::uint64_t
-flowKey(const net::RawPacket &packet)
+flowKey(const net::PacketView &packet)
 {
     std::uint64_t addrs =
         (static_cast<std::uint64_t>(packet.ipv4.srcAddr) << 32) |
@@ -68,6 +68,12 @@ flowKey(const net::RawPacket &packet)
     return splitmix64(addrs ^
                       (static_cast<std::uint64_t>(ports) << 8) ^
                       packet.ipv4.protocol);
+}
+
+std::uint64_t
+flowKey(const net::RawPacket &packet)
+{
+    return flowKey(net::viewOf(packet));
 }
 
 ShardedServer::ShardedServer(const InferenceEngine &engine,
@@ -170,8 +176,8 @@ ShardedServer::submitFrame(const std::vector<std::uint8_t> &frame,
                            std::size_t lane)
 {
     // Parse once at the front door: the flow key needs the headers
-    // anyway, and the owning shard then skips re-parsing.
-    auto packet = net::parse(frame);
+    // anyway, and the owning shard extracts from the same view.
+    auto packet = net::parseView(frame.data(), frame.size());
     if (!packet) {
         // Per-ticket malformed reporting, same contract as
         // Server::submitFrame — but from the front door's own ticket
@@ -190,7 +196,8 @@ ShardedServer::submitFrame(const std::vector<std::uint8_t> &frame,
         result.ticket = ticket;
         return result;
     }
-    return submitPacket(*packet, lane);
+    return servers_[shardFor(flowKey(*packet))]->submitPacket(*packet,
+                                                              lane);
 }
 
 telemetry::MetricsSnapshot

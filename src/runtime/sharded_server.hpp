@@ -59,6 +59,9 @@ constexpr std::uint64_t kShardTicketShift = 48;
 /** Stable 64-bit flow key of a parsed packet: the 5-tuple
  *  (addresses, ports, protocol), mixed through splitmix64. Frames of
  *  one TCP/UDP flow always map to the same key. */
+std::uint64_t flowKey(const net::PacketView &packet);
+
+/** flowKey() over viewOf(@p packet). */
 std::uint64_t flowKey(const net::RawPacket &packet);
 
 /** Scale-out knobs. */

@@ -215,7 +215,9 @@ TEST(ModelRegistry, SwapUnderConcurrentLookupsServesOneVersionPerPin)
 {
     hi::ModelIr v1 = mlpModel(11, 5, 3);
     hi::ModelIr v2 = mlpModel(22, 5, 3);
-    auto registry = std::make_shared<hr::ModelRegistry>();
+    hr::telemetry::MetricRegistry metrics;
+    auto registry =
+        std::make_shared<hr::ModelRegistry>(hr::EngineOptions{}, &metrics);
     registry->load("m", v1);
     registry->load("m", v2);
     hm::Matrix x = featureRows(5, 64, 5);
@@ -240,12 +242,13 @@ TEST(ModelRegistry, SwapUnderConcurrentLookupsServesOneVersionPerPin)
     // single-core host the consumer can otherwise outrun the swapper's
     // first scheduling slice entirely.
     std::set<std::uint64_t> seen;
+    std::uint64_t pins = 0;
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     for (int i = 0;
          i < 300 || (seen.size() < 2 &&
                      std::chrono::steady_clock::now() < deadline);
-         ++i) {
+         ++i, ++pins) {
         std::shared_ptr<const hr::ModelEpoch> epoch =
             registry->active("m");
         seen.insert(epoch->version);
@@ -257,6 +260,9 @@ TEST(ModelRegistry, SwapUnderConcurrentLookupsServesOneVersionPerPin)
     stop.store(true);
     swapper.join();
     EXPECT_EQ(seen, (std::set<std::uint64_t>{1, 2}));
+    // Every pin counts once, racing swaps or not.
+    EXPECT_EQ(metrics.counter("registry.pins", {{"model", "m"}}).value(),
+              pins);
 }
 
 // ------------------------------------------------------------------ Router

@@ -5,12 +5,69 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "common/rng.hpp"
+#include "math/stats.hpp"
 #include "net/feature_extract.hpp"
 #include "net/packet.hpp"
 
 namespace hn = homunculus::net;
 
 namespace {
+
+/** The bit pattern of @p value, so EXPECT_EQ compares bit for bit. */
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/** Rewrite a serialized frame's IPv4 header checksum to match its
+ *  (possibly edited) header bytes. */
+void
+fixIpv4Checksum(std::vector<std::uint8_t> &frame)
+{
+    std::uint8_t *ipv4 = frame.data() + hn::EthernetHeader::kWireSize;
+    ipv4[10] = 0;
+    ipv4[11] = 0;
+    std::uint16_t checksum = hn::ipv4Checksum(ipv4, hn::Ipv4Header::kWireSize);
+    ipv4[10] = static_cast<std::uint8_t>(checksum >> 8);
+    ipv4[11] = static_cast<std::uint8_t>(checksum & 0xFF);
+}
+
+/** Set a serialized frame's ipv4.totalLength (checksum kept valid). */
+void
+setTotalLength(std::vector<std::uint8_t> &frame, std::uint16_t length)
+{
+    frame[hn::EthernetHeader::kWireSize + 2] =
+        static_cast<std::uint8_t>(length >> 8);
+    frame[hn::EthernetHeader::kWireSize + 3] =
+        static_cast<std::uint8_t>(length & 0xFF);
+    fixIpv4Checksum(frame);
+}
+
+/** The entropy feature as the extractor computed it before the
+ *  histogram rewrite: a 256-bin count vector through math::entropy. */
+double
+referenceEntropy(const std::vector<std::uint8_t> &payload,
+                 std::size_t sample_bytes)
+{
+    if (payload.empty())
+        return 0.0;
+    std::size_t sample = std::min(sample_bytes, payload.size());
+    std::vector<double> counts(256, 0.0);
+    for (std::size_t i = 0; i < sample; ++i)
+        counts[payload[i]] += 1.0;
+    double h = homunculus::math::entropy(counts);
+    double h_max = std::log(static_cast<double>(std::min<std::size_t>(
+        256, sample)));
+    return h_max > 0.0 ? std::clamp(h / h_max, 0.0, 1.0) : 0.0;
+}
 
 hn::RawPacket
 makeTcpPacket()
@@ -89,6 +146,66 @@ TEST(Packet, ParseRejectsTruncatedBuffers)
     EXPECT_FALSE(hn::parse({}).has_value());
 }
 
+TEST(Packet, ParseBoundsPayloadByTotalLength)
+{
+    // A 5-byte TCP payload makes a 59-byte frame; a NIC pads it to the
+    // 60-byte Ethernet minimum, and the trailer is not payload.
+    hn::RawPacket packet = makeTcpPacket();
+    std::vector<std::uint8_t> frame = serialize(packet);
+    std::vector<std::uint8_t> padded = frame;
+    padded.resize(60, 0x00);
+    ASSERT_GT(padded.size(), frame.size());
+
+    auto parsed = hn::parse(padded);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->payload, packet.payload);
+    EXPECT_EQ(parsed->wireSize(), frame.size());
+
+    // Padding bytes that would skew the entropy feature if counted.
+    std::fill(padded.begin() + static_cast<std::ptrdiff_t>(frame.size()),
+              padded.end(), 0xEE);
+    hn::FeatureExtractor extractor;
+    auto unpadded_features = extractor.extractFromWire(frame);
+    auto padded_features = extractor.extractFromWire(padded);
+    ASSERT_TRUE(unpadded_features.has_value());
+    ASSERT_TRUE(padded_features.has_value());
+    EXPECT_EQ(*padded_features, *unpadded_features);
+}
+
+TEST(Packet, ParseRejectsInconsistentTotalLength)
+{
+    std::vector<std::uint8_t> frame = serialize(makeTcpPacket());
+    const auto total = static_cast<std::uint16_t>(
+        frame.size() - hn::EthernetHeader::kWireSize);
+
+    // Shorter than its totalLength: the datagram was cut off.
+    std::vector<std::uint8_t> cut(frame.begin(), frame.end() - 1);
+    EXPECT_FALSE(hn::parse(cut).has_value());
+
+    std::vector<std::uint8_t> inflated = frame;
+    setTotalLength(inflated, static_cast<std::uint16_t>(total + 1));
+    EXPECT_FALSE(hn::parse(inflated).has_value());
+
+    // Smaller than the IPv4 + TCP headers it carries.
+    std::vector<std::uint8_t> deflated = frame;
+    setTotalLength(deflated, static_cast<std::uint16_t>(
+                                 hn::Ipv4Header::kWireSize +
+                                 hn::TcpHeader::kWireSize - 1));
+    EXPECT_FALSE(hn::parse(deflated).has_value());
+
+    // Exactly the headers: a valid, empty-payload datagram.
+    std::vector<std::uint8_t> headers_only = frame;
+    setTotalLength(headers_only, static_cast<std::uint16_t>(
+                                     hn::Ipv4Header::kWireSize +
+                                     hn::TcpHeader::kWireSize));
+    auto parsed = hn::parse(headers_only);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(parsed->payload.empty());
+
+    hn::FeatureExtractor extractor;
+    EXPECT_FALSE(extractor.extractFromWire(inflated).has_value());
+}
+
 TEST(Packet, ParseRejectsNonIpv4)
 {
     auto bytes = serialize(makeTcpPacket());
@@ -152,6 +269,119 @@ TEST(FeatureExtract, MalformedWireYieldsNullopt)
 {
     hn::FeatureExtractor extractor;
     EXPECT_FALSE(extractor.extractFromWire({1, 2, 3}).has_value());
+}
+
+TEST(FeatureExtract, EntropyBitIdenticalToReference)
+{
+    hn::IotPacketConfig config;
+    config.numPackets = 4000;
+    config.seed = 11;
+    std::vector<hn::LabeledPacket> iot = hn::generateIotPackets(config);
+
+    // Random payloads of 0..1500 bytes, from uniform noise to a single
+    // repeated byte, so bins reach counts past 255 when the sample does.
+    homunculus::common::Rng rng(12);
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (const hn::LabeledPacket &labeled : iot)
+        payloads.push_back(labeled.packet.payload);
+    for (int i = 0; i < 3000; ++i) {
+        auto size = static_cast<std::size_t>(rng.uniformInt(0, 1500));
+        double noise = rng.uniform();
+        auto alphabet = static_cast<int>(rng.uniformInt(1, 255));
+        std::vector<std::uint8_t> payload(size);
+        for (std::uint8_t &byte : payload)
+            byte = rng.bernoulli(noise)
+                       ? static_cast<std::uint8_t>(
+                             rng.uniformInt(0, alphabet))
+                       : std::uint8_t{0x42};
+        payloads.push_back(std::move(payload));
+    }
+
+    hn::RawPacket packet = makeTcpPacket();
+    for (std::size_t sample_bytes : {1u, 64u, 300u}) {
+        hn::FeatureExtractorConfig extractor_config;
+        extractor_config.entropySampleBytes = sample_bytes;
+        hn::FeatureExtractor extractor(extractor_config);
+        for (const std::vector<std::uint8_t> &payload : payloads) {
+            packet.payload = payload;
+            double expected = referenceEntropy(payload, sample_bytes);
+            ASSERT_EQ(bitsOf(extractor.extract(packet)[6]),
+                      bitsOf(expected))
+                << "sample " << sample_bytes << ", payload of "
+                << payload.size() << " bytes";
+        }
+    }
+}
+
+TEST(FeatureExtract, WireFuzzMatchesParseThenExtract)
+{
+    // Deterministic mutation fuzz over wire frames: the copy-free
+    // extractFromWire must agree with parse + extract on every input,
+    // including which inputs are rejected.
+    hn::IotPacketConfig config;
+    config.numPackets = 400;
+    config.seed = 21;
+    std::vector<std::vector<std::uint8_t>> seeds;
+    for (const hn::LabeledPacket &labeled : hn::generateIotPackets(config))
+        seeds.push_back(serialize(labeled.packet));
+    seeds.push_back(serialize(makeTcpPacket()));
+
+    hn::FeatureExtractor extractor;
+    homunculus::common::Rng rng(22);
+    std::size_t accepted = 0, rejected = 0;
+    for (int round = 0; round < 20000; ++round) {
+        std::vector<std::uint8_t> frame = seeds[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(seeds.size()) - 1))];
+        switch (rng.uniformInt(0, 4)) {
+          case 0: {  // flip a few bytes anywhere
+            auto flips = rng.uniformInt(1, 4);
+            for (std::int64_t f = 0; f < flips; ++f)
+                frame[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(frame.size()) - 1))] ^=
+                    static_cast<std::uint8_t>(rng.uniformInt(1, 255));
+            break;
+          }
+          case 1:  // truncate
+            frame.resize(static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(frame.size()))));
+            break;
+          case 2:  // trailer bytes
+            frame.resize(frame.size() + static_cast<std::size_t>(
+                                            rng.uniformInt(1, 64)),
+                         static_cast<std::uint8_t>(rng.uniformInt(0, 255)));
+            break;
+          case 3:  // any totalLength, checksum kept valid
+            setTotalLength(frame, static_cast<std::uint16_t>(
+                                      rng.uniformInt(0, 0xFFFF)));
+            break;
+          default:  // mutate the IPv4 header, checksum kept valid
+            frame[hn::EthernetHeader::kWireSize +
+                  static_cast<std::size_t>(rng.uniformInt(0, 19))] ^=
+                static_cast<std::uint8_t>(rng.uniformInt(1, 255));
+            fixIpv4Checksum(frame);
+            break;
+        }
+        std::optional<hn::RawPacket> parsed = hn::parse(frame);
+        std::optional<std::vector<double>> via_wire =
+            extractor.extractFromWire(frame);
+        ASSERT_EQ(via_wire.has_value(), parsed.has_value())
+            << "round " << round;
+        if (!parsed) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        std::vector<double> expected = extractor.extract(*parsed);
+        ASSERT_EQ(via_wire->size(), expected.size());
+        for (std::size_t f = 0; f < expected.size(); ++f)
+            ASSERT_EQ(bitsOf((*via_wire)[f]), bitsOf(expected[f]))
+                << "round " << round << ", feature " << f;
+        EXPECT_EQ(parsed->wireSize(),
+                  hn::EthernetHeader::kWireSize + parsed->ipv4.totalLength);
+    }
+    // Both outcomes must be exercised for the comparison to mean much.
+    EXPECT_GT(accepted, 2000u);
+    EXPECT_GT(rejected, 2000u);
 }
 
 TEST(IotPackets, GeneratorProducesParsableLabeledPackets)

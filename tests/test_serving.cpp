@@ -17,11 +17,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -205,6 +208,105 @@ TEST(RequestQueue, ConsumerBlockedOnEmptyQueueWakesOnPushAndClose)
     producer.join();
 }
 
+TEST(RequestQueue, LoneRowDeadlineFlushNeverBeatsMaxDelay)
+{
+    // The batcher polls the rings for a short while before it parks;
+    // that spin must never run past a staged deadline nor flush before
+    // it. Deadlines on both sides of the spin budget, with the row
+    // staged before pop() and pushed while the consumer waits.
+    for (std::uint64_t max_delay_us : {20ull, 5'000ull}) {
+        hr::QueuePolicy policy;
+        policy.maxBatch = 1024;
+        policy.maxDelayUs = max_delay_us;
+        hr::RequestQueue queue(policy);
+        int rounds = max_delay_us < 1000 ? 40 : 4;
+        for (int round = 0; round < rounds; ++round) {
+            std::thread producer;
+            if (round % 2 == 0) {
+                queue.push(makeRequest(static_cast<std::uint64_t>(round), 2));
+            } else {
+                producer = std::thread([&queue, round] {
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(10 * round));
+                    queue.push(
+                        makeRequest(static_cast<std::uint64_t>(round), 2));
+                });
+            }
+            auto batch = queue.pop();
+            auto popped = Clock::now();
+            if (producer.joinable())
+                producer.join();
+            ASSERT_TRUE(batch.has_value());
+            ASSERT_EQ(batch->requests.size(), 1u);
+            EXPECT_EQ(batch->reason, hr::FlushReason::kDeadline);
+            auto waited = popped - batch->requests[0].enqueuedAt;
+            EXPECT_GE(waited, std::chrono::microseconds(max_delay_us))
+                << "maxDelayUs " << max_delay_us << ", round " << round;
+            EXPECT_LT(waited, std::chrono::seconds(2));
+        }
+        EXPECT_EQ(queue.counters().deadlineFlushes,
+                  static_cast<std::uint64_t>(rounds));
+    }
+}
+
+TEST(RequestQueue, CloseWhileConsumerWaitsOnEmptyQueueReturnsPromptly)
+{
+    // close() lands at offsets inside and past the consumer's spin
+    // window; pop() must see it either way and report exhaustion.
+    for (int round = 0; round < 40; ++round) {
+        hr::RequestQueue queue(hr::QueuePolicy{});
+        std::atomic<bool> waiting{false};
+        std::optional<hr::RequestBatch> result;
+        Clock::time_point returned;
+        std::thread consumer([&] {
+            waiting.store(true);
+            result = queue.pop();
+            returned = Clock::now();
+        });
+        while (!waiting.load())
+            std::this_thread::yield();
+        auto close_at = Clock::now() + std::chrono::microseconds(5 * round);
+        while (Clock::now() < close_at) {
+        }
+        auto closed = Clock::now();
+        queue.close();
+        consumer.join();
+        EXPECT_FALSE(result.has_value());
+        EXPECT_LT(returned - closed, std::chrono::milliseconds(500))
+            << "round " << round;
+    }
+}
+
+TEST(RequestQueue, IdleConsumerParksAfterABoundedSpin)
+{
+    // The pre-park spin is bounded: a consumer waiting 200 ms on an
+    // empty queue must spend almost none of it on a CPU.
+    hr::QueuePolicy policy;
+    policy.maxBatch = 2;
+    policy.maxDelayUs = 60'000'000;
+    hr::RequestQueue queue(policy);
+    auto thread_cpu = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return std::chrono::seconds(ts.tv_sec) +
+               std::chrono::nanoseconds(ts.tv_nsec);
+    };
+    std::chrono::nanoseconds cpu_used{0};
+    std::thread consumer([&] {
+        auto before = thread_cpu();
+        auto batch = queue.pop();
+        cpu_used = thread_cpu() - before;
+        EXPECT_TRUE(batch.has_value());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    queue.push(makeRequest(1, 2));
+    queue.push(makeRequest(2, 2));
+    consumer.join();
+    double cpu_ms =
+        std::chrono::duration<double, std::milli>(cpu_used).count();
+    EXPECT_LT(cpu_ms, 50.0);
+}
+
 // ----------------------------------------------------------------- Server
 
 TEST(Server, VerdictsBitIdenticalToOnePlanRun)
@@ -337,15 +439,22 @@ TEST(Server, WireFramesServeAndMalformedFramesDrop)
             ++delivered;
         });
 
-    for (const auto &labeled : hn::generateIotPackets(packet_config))
+    std::vector<hn::LabeledPacket> packets =
+        hn::generateIotPackets(packet_config);
+    for (const auto &labeled : packets)
         EXPECT_TRUE(
             server.submitFrame(hn::serialize(labeled.packet)).admitted());
     EXPECT_EQ(server.submitFrame({0xde, 0xad}).status,
               hr::SubmitStatus::kMalformed);
+    // A frame shorter than its IPv4 totalLength was cut off in transit;
+    // it is malformed, not a packet with a shorter payload.
+    std::vector<std::uint8_t> cut = hn::serialize(packets[0].packet);
+    cut.pop_back();
+    EXPECT_EQ(server.submitFrame(cut).status, hr::SubmitStatus::kMalformed);
 
     hr::ServerStats stats = server.stop();
     EXPECT_EQ(stats.rowsServed, 300u);
-    EXPECT_EQ(stats.malformedFrames, 1u);
+    EXPECT_EQ(stats.malformedFrames, 2u);
     EXPECT_EQ(delivered, 300u);
 }
 
@@ -933,6 +1042,74 @@ TEST(RequestQueue, ShedVsAdmitDeterministicUnderContention)
     auto batch = queue.pop();
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->requests.size(), 10u);
+}
+
+TEST(RequestQueue, ProducersStraddlingTheSpinBudgetResolveEveryTicketOnce)
+{
+    // 4 producers with inter-push gaps of 0–200 µs, so the consumer
+    // alternates between catching rows mid-spin and parking. Every
+    // admitted row must come out exactly once, as a batch row or an
+    // early drop.
+    hr::QueueConfig config;
+    hr::QueuePolicy fast, bulk;
+    fast.maxBatch = 2;
+    fast.maxDelayUs = 30;
+    fast.maxDepth = 256;
+    bulk.maxBatch = 8;
+    bulk.maxDelayUs = 120;
+    bulk.maxDepth = 256;
+    config.lanes = {fast, bulk};
+    config.backpressure = hr::BackpressureMode::kEarlyDrop;
+    std::vector<std::uint64_t> dropped;
+    config.onDrop = [&dropped](std::uint64_t ticket, std::size_t,
+                               std::uint64_t) {
+        dropped.push_back(ticket);  // pop() runs it on the consumer.
+    };
+    hr::RequestQueue queue(config);
+
+    constexpr std::size_t kProducers = 4;
+    constexpr std::uint64_t kPerProducer = 1500;
+    std::vector<std::uint64_t> popped;
+    std::thread consumer([&] {
+        while (auto batch = queue.pop())
+            for (const hr::Request &row : batch->requests)
+                popped.push_back(row.id);
+    });
+    std::vector<std::vector<std::uint64_t>> admitted(kProducers);
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p)
+        producers.emplace_back([&queue, &admitted, p] {
+            hc::Rng rng(100 + p);
+            for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+                std::uint64_t id = p * kPerProducer + i;
+                if (hr::admitted(queue.push(makeRequest(id, 2), id % 2)))
+                    admitted[p].push_back(id);
+                auto resume = Clock::now() + std::chrono::microseconds(
+                                                 rng.uniformInt(0, 200));
+                while (Clock::now() < resume) {
+                }
+            }
+        });
+    for (std::thread &t : producers)
+        t.join();
+    queue.close();
+    consumer.join();
+
+    std::vector<std::uint64_t> expected;
+    for (const auto &ids : admitted)
+        expected.insert(expected.end(), ids.begin(), ids.end());
+    std::vector<std::uint64_t> resolved = popped;
+    resolved.insert(resolved.end(), dropped.begin(), dropped.end());
+    std::sort(expected.begin(), expected.end());
+    std::sort(resolved.begin(), resolved.end());
+    EXPECT_EQ(resolved, expected);  // each admitted ticket exactly once.
+
+    hr::QueueCounters counters = queue.counters();
+    EXPECT_EQ(counters.accepted, expected.size());
+    EXPECT_EQ(popped.size() + counters.earlyDropped, counters.accepted);
+    EXPECT_EQ(counters.accepted + counters.shed,
+              kProducers * kPerProducer);
+    EXPECT_EQ(queue.depth(), 0u);
 }
 
 TEST(RequestQueue, BlockedProducersAdmitInArrivalOrder)
