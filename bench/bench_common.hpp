@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/generate.hpp"
+#include "core/compiler.hpp"
 #include "data/anomaly_generator.hpp"
 #include "data/flowmarker.hpp"
 #include "data/iot_traffic_generator.hpp"

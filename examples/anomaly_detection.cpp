@@ -3,11 +3,11 @@
  * Anomaly detection end-to-end: the paper's running example (§3) with
  * every compiler stage surfaced.
  *
- * Walks through what generate() does internally — candidate selection,
- * design-space creation, the BO search trace, feasibility reports from
- * the Taurus backend, and finally both the winning Spatial program and
- * the per-packet simulation of the deployed model — so users can see
- * each Figure 2 stage rather than just the final binary.
+ * Walks through what Compiler::compile() does internally — candidate
+ * selection, design-space creation, the BO search trace, feasibility
+ * reports from the Taurus backend, and finally both the winning Spatial
+ * program and the per-packet simulation of the deployed model — so
+ * users can see each Figure 2 stage rather than just the final binary.
  *
  * Run: ./anomaly_detection
  */

@@ -14,7 +14,7 @@
  *   mdl1 > mdl2, mdl1 | mdl2   | operator>/operator| building ScheduleNode
  *   IOMap(@IOMapper)           | IoMap{ mapper function }
  *   platform.schedule(...)     | PlatformHandle::schedule(node)
- *   homunculus.generate(...)   | core::generate(platform, options)
+ *   homunculus.generate(...)   | core::Compiler(options).compile(platform)
  */
 #pragma once
 

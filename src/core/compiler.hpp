@@ -14,9 +14,7 @@
  * optimization searches of each spec concurrently on a small thread pool
  * (results are bit-identical for a fixed seed regardless of thread count:
  * every family search derives its own seed and owns all of its state).
- *
- * The legacy core::generate() entry point survives as a thin shim over
- * this API (see generate.hpp).
+ * Compiler::compile() runs every stage in one call.
  */
 #pragma once
 

@@ -6,8 +6,7 @@
  * exceptions: a Status carries a machine-readable code, a human-readable
  * message, and per-spec context lines (which spec had no feasible model,
  * which family was pruned, ...). Result<T> couples a Status with the
- * value a successful call would produce. The legacy core::generate()
- * shim converts error Statuses back into the exceptions it always threw.
+ * value a successful call would produce.
  */
 #pragma once
 

@@ -13,8 +13,8 @@
  * reference interpreter's exact saturating-arithmetic sequence).
  *
  * The engine serves two masters with one knob:
- *  - deployment: the trace-replay serving harness (runtime::StreamHarness)
- *    and homc --replay shard micro-batches across cores;
+ *  - deployment: runtime::Server (behind homc --replay and --serve)
+ *    shards every released batch across cores;
  *  - compilation: candidate scoring inside the Bayesian search
  *    (Platform::evaluate with EvalOptions::jobs) shards large test
  *    partitions, shrinking the search's innermost loop.

@@ -4,11 +4,10 @@
  * size-or-deadline batching, pluggable backpressure, and a lock-free
  * submit path.
  *
- * The serving path's front door. StreamHarness replays a whole trace in
- * fixed micro-batches — fine for throughput measurement, useless under
- * live arrivals, where waiting to fill a batch makes tail latency
- * unbounded at low load and unbounded queueing makes it unbounded at
- * high load. This queue implements the standard serving answer to both
+ * The serving path's front door. Fixed-size micro-batches alone are
+ * fine for replaying a whole trace, useless under live arrivals, where
+ * waiting to fill a batch makes tail latency unbounded at low load and
+ * unbounded queueing makes it unbounded at high load. This queue implements the standard serving answer to both
  * (the batching policy of ASAP-style operator runtimes), generalized to
  * mixed request classes:
  *

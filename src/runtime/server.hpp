@@ -2,12 +2,14 @@
  * @file
  * Server: asynchronous serving front-end over the inference runtime.
  *
- * The live-traffic counterpart of StreamHarness's trace replay. Callers
- * submit individual rows or wire frames from any thread — into one of
- * N priority lanes — and get a typed SubmitResult back immediately
- * (except in kBlockWithTimeout mode, where a submit to a full lane
- * blocks the calling thread up to blockTimeoutUs waiting for space); a
- * dedicated batcher thread drains a multi-lane RequestQueue (per-lane
+ * The one path from bytes to verdict: homc --serve drives it as an
+ * open-loop arrival process, and homc --replay as a single lane that
+ * flushes only by size (maxDelayUs = kMaxQueueDelayUs) with unbounded
+ * admission. Callers submit individual rows or wire frames from any
+ * thread — into one of N priority lanes — and get a typed SubmitResult
+ * back immediately (except in kBlockWithTimeout mode, where a submit to
+ * a full lane blocks the calling thread up to blockTimeoutUs waiting
+ * for space); a dedicated batcher thread drains a multi-lane RequestQueue (per-lane
  * size-or-deadline flush, strict priority among ready lanes, shed /
  * block-with-timeout / early-drop backpressure — see
  * request_queue.hpp), runs each released batch through the
@@ -18,9 +20,8 @@
  * batch, or per dispatch after warm-up.
  *
  * Producer-side work stays on the producer: submitFrame() parses,
- * extracts, and standardizes on the calling thread (the same split
- * StreamHarness uses), so the batcher thread spends its time in the
- * engine. Verdicts are bit-identical to running the same rows through
+ * extracts, and standardizes on the calling thread, so the batcher
+ * thread spends its time in the engine. Verdicts are bit-identical to running the same rows through
  * ExecutablePlan in one call — batching never changes labels. (In
  * kEarlyDrop mode an admitted row can still be dropped at flush time
  * if it aged past its lane's budget; dropped rows get no verdict and

@@ -2,7 +2,9 @@
  * @file
  * Tests for the staged Compiler / CompileSession API: stage ordering,
  * Status propagation, progress observation, cooperative cancellation,
- * and bit-identical results across search-pool widths.
+ * bit-identical results across search-pool widths, and full compiles on
+ * every backend (small budgets keep the suite fast; the benches run
+ * the paper-scale budgets).
  */
 #include <gtest/gtest.h>
 
@@ -10,8 +12,9 @@
 #include <vector>
 
 #include "core/compiler.hpp"
-#include "core/generate.hpp"
 #include "data/anomaly_generator.hpp"
+#include "data/iot_traffic_generator.hpp"
+#include "ml/metrics.hpp"
 
 namespace hcore = homunculus::core;
 namespace hd = homunculus::data;
@@ -85,36 +88,6 @@ TEST(CompilerSession, StagesMustRunInOrder)
 
     ASSERT_NE(session.searchesFor("ad"), nullptr);
     EXPECT_EQ(session.searchesFor("ad")->size(), 1u);
-}
-
-TEST(CompilerSession, CompileMatchesLegacyGenerateShim)
-{
-    auto spec = adSpec();
-
-    auto platform_new = hcore::Platforms::taurus();
-    platform_new.constrain({1.0, 500.0}, {16, 16});
-    platform_new.schedule(spec);
-    hcore::Compiler compiler(tinyOptions());
-    auto compiled = compiler.compile(platform_new);
-    ASSERT_TRUE(compiled.isOk());
-
-    auto platform_old = hcore::Platforms::taurus();
-    platform_old.constrain({1.0, 500.0}, {16, 16});
-    platform_old.schedule(spec);
-    hcore::GenerateOptions legacy;
-    legacy.bo.numInitSamples = 3;
-    legacy.bo.numIterations = 4;
-    auto generated = hcore::generate(platform_old, legacy);
-    ASSERT_TRUE(generated.success);
-
-    const auto *model_new = compiled->find("ad");
-    const auto *model_old = generated.find("ad");
-    ASSERT_NE(model_new, nullptr);
-    ASSERT_NE(model_old, nullptr);
-    EXPECT_EQ(model_new->algorithm, model_old->algorithm);
-    EXPECT_EQ(model_new->objective, model_old->objective);  // bit-exact.
-    EXPECT_EQ(model_new->code, model_old->code);
-    EXPECT_EQ(model_new->model.paramCount(), model_old->model.paramCount());
 }
 
 TEST(CompilerSession, ResultsBitIdenticalAcrossJobs)
@@ -279,16 +252,6 @@ TEST(CompilerSession, InfeasibleEnvelopeYieldsInfeasibleStatus)
     // diagnostics must name the failing spec.
     EXPECT_NE(compiled.status().toString().find("ad"), std::string::npos);
     EXPECT_FALSE(compiled.status().context().empty());
-
-    // The legacy shim surfaces the same failure as its usual exception.
-    auto platform_old = hcore::Platforms::taurus();
-    platform_old.constrain({50.0, 1.0}, {4, 4});
-    platform_old.schedule(adSpec(600));
-    hcore::GenerateOptions legacy;
-    legacy.bo.numInitSamples = 3;
-    legacy.bo.numIterations = 4;
-    EXPECT_THROW(hcore::generate(platform_old, legacy),
-                 std::runtime_error);
 }
 
 TEST(CompilerSession, MissingLoaderYieldsInvalidArgument)
@@ -356,4 +319,114 @@ TEST(CompilerSession, SearchSpecMatchesSessionWinner)
     EXPECT_EQ(direct->objective, session_model->objective);
     EXPECT_EQ(direct->algorithm, session_model->algorithm);
     EXPECT_EQ(direct->code, session_model->code);
+}
+
+// ------------------------------------------------- end to end, per backend
+
+TEST(CompilerEndToEnd, TaurusProducesFeasibleDnn)
+{
+    auto platform = hcore::Platforms::taurus();
+    platform.constrain({1.0, 500.0}, {16, 16, {}});
+    platform.schedule(adSpec(1200));
+
+    auto compiled = hcore::Compiler(tinyOptions()).compile(platform);
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    const auto *model = compiled->find("ad");
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model->algorithm, hcore::Algorithm::kDnn);
+    EXPECT_TRUE(model->report.feasible);
+    EXPECT_GT(model->objective, 0.5);
+    EXPECT_FALSE(model->code.empty());
+    EXPECT_NE(model->code.find("@spatial"), std::string::npos);
+}
+
+TEST(CompilerEndToEnd, MatPrunesDnnAndStillSucceeds)
+{
+    auto platform = hcore::Platforms::tofino();
+    hcore::ModelSpec spec;
+    spec.name = "tc";
+    spec.optimizationMetric = hcore::Metric::kF1;
+    // Empty pool: let candidate selection do the pruning.
+    spec.dataLoader = [] {
+        hd::IotTrafficConfig config;
+        config.numSamples = 1000;
+        return hd::generateIotTrafficSplit(config);
+    };
+    platform.schedule(spec);
+
+    auto compiled = hcore::Compiler(tinyOptions()).compile(platform);
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    const auto *model = compiled->find("tc");
+    ASSERT_NE(model, nullptr);
+    EXPECT_NE(model->algorithm, hcore::Algorithm::kDnn);
+    EXPECT_TRUE(model->report.feasible);
+    EXPECT_GT(model->report.matTables, 0u);
+    EXPECT_NE(model->code.find("control MlIngress"), std::string::npos);
+}
+
+TEST(CompilerEndToEnd, Fpga)
+{
+    auto platform = hcore::Platforms::fpga();
+    platform.schedule(adSpec(800));
+    auto compiled = hcore::Compiler(tinyOptions()).compile(platform);
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    const auto *model = compiled->find("ad");
+    ASSERT_NE(model, nullptr);
+    EXPECT_GT(model->report.powerWatts, 15.131);
+    EXPECT_GT(model->report.lutPercent, 5.36);
+}
+
+TEST(CompilerEndToEnd, ScheduleResourcesAccountForAllLeaves)
+{
+    auto platform = hcore::Platforms::taurus();
+    auto a = adSpec(600);
+    a.name = "ad_a";
+    auto b = adSpec(600);
+    b.name = "ad_b";
+    platform.schedule(a > b);
+
+    auto compiled = hcore::Compiler(tinyOptions()).compile(platform);
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    ASSERT_EQ(compiled->models.size(), 2u);
+    ASSERT_EQ(compiled->scheduleResources.size(), 1u);
+    const auto &total = compiled->scheduleResources[0];
+    EXPECT_EQ(total.computeUnits,
+              compiled->models[0].report.computeUnits +
+                  compiled->models[1].report.computeUnits);
+}
+
+TEST(CompilerEndToEnd, SearchHistoryIsUsableForRegretPlots)
+{
+    auto platform = hcore::Platforms::taurus();
+    platform.schedule(adSpec(800));
+    auto options = tinyOptions();
+    auto compiled = hcore::Compiler(options).compile(platform);
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    const auto *model = compiled->find("ad");
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model->searchHistory.history.size(),
+              options.bo.numInitSamples + options.bo.numIterations);
+    auto series = model->searchHistory.bestSoFarSeries();
+    for (std::size_t i = 1; i < series.size(); ++i)
+        EXPECT_GE(series[i], series[i - 1] - 1e-12);
+}
+
+TEST(CompilerEndToEnd, ObjectiveComesFromQuantizedBackendEvaluation)
+{
+    // The reported objective must equal re-running the winner's IR
+    // through the platform simulator — not the float model.
+    auto platform = hcore::Platforms::taurus();
+    auto spec = adSpec(1000);
+    platform.schedule(spec);
+    auto compiled = hcore::Compiler(tinyOptions()).compile(platform);
+    ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+    const auto *model = compiled->find("ad");
+    ASSERT_NE(model, nullptr);
+
+    auto split = spec.dataLoader();
+    auto predictions =
+        platform.platform().evaluate(model->model, split.test.x);
+    double f1 = homunculus::ml::f1ForTask(split.test.y, predictions,
+                                          split.test.numClasses);
+    EXPECT_NEAR(f1, model->objective, 1e-12);
 }

@@ -3,11 +3,14 @@
  * Tests for homc's command-line contract (tools/homc_cli.*): strict
  * unknown-flag rejection with a did-you-mean hint, numeric-value
  * validation (no more uncaught std::stoull aborts on "--jobs banana"),
- * the serving-lane flags, and the lane policy/routing helpers.
+ * the serving-lane flags, the lane policy/routing helpers, and the
+ * trace loader's input checks.
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -590,4 +593,59 @@ TEST(HomcCli, MisspelledShardFlagGetsAHint)
     EXPECT_NE(errors.find("did you mean '--serve-shards'"),
               std::string::npos)
         << errors;
+}
+
+// ------------------------------------------------------------ traces ---
+
+TEST(HomcCli, MalformedIotTraceCountIsAUsageError)
+{
+    // A negative, trailing-garbage or empty count is a usage error at
+    // parse time, before any compile runs.
+    for (const char *flag : {"--replay", "--serve"})
+        for (const char *spec : {"iot:-1", "iot:5x", "iot:"}) {
+            ht::CliOptions options;
+            std::string errors;
+            EXPECT_EQ(parse({"--app", "tc", flag, spec}, options, errors),
+                      ht::ParseResult::kError)
+                << flag << " " << spec;
+            EXPECT_NE(errors.find("iot:N expects a non-negative integer"),
+                      std::string::npos)
+                << errors;
+        }
+
+    ht::CliOptions options;
+    std::string errors;
+    EXPECT_EQ(parse({"--app", "tc", "--replay", "iot:5"}, options,
+                    errors),
+              ht::ParseResult::kOk)
+        << errors;
+    EXPECT_EQ(ht::loadTrace(options.replay).size(), 5u);
+    for (const char *spec : {"iot:-1", "iot:5x", "iot:"})
+        EXPECT_THROW(ht::loadTrace(spec), std::runtime_error) << spec;
+}
+
+TEST(HomcCli, HexTraceTakesOnlyHexDigitsAndNamesTheBadLine)
+{
+    const std::string path = ::testing::TempDir() + "homc_cli_trace.hex";
+    auto load = [&](const std::string &text) {
+        std::ofstream(path) << text;
+        return ht::loadTrace(path);
+    };
+    auto frames = load("0a0B ff\n\n  00 11\n");
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0], (std::vector<std::uint8_t>{0x0a, 0x0b, 0xff}));
+    EXPECT_EQ(frames[1], (std::vector<std::uint8_t>{0x00, 0x11}));
+
+    // Signs and non-hex digits are rejected, never decoded as a byte.
+    for (const char *bad : {"0g", "-1", "+f", "abc"}) {
+        try {
+            load(std::string("0a0b\n") + bad + "\n");
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::runtime_error &error) {
+            EXPECT_NE(std::string(error.what()).find("trace line 2"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    EXPECT_THROW(ht::loadTrace(path + ".missing"), std::runtime_error);
 }

@@ -4,8 +4,8 @@
  * parallel-for semantics, InferenceEngine determinism at every jobs
  * width, concurrent execution of one shared plan, per-format
  * quantization caching (bit-exactness included), EvalOptions plumbing
- * through the backends, caller-scratch runRow, StreamHarness
- * end-of-trace drain, and inferJobs determinism through searchSpec.
+ * through the backends, caller-scratch runRow, and inferJobs
+ * determinism through searchSpec.
  *
  * The concurrency tests double as the TSAN workload: CI runs this
  * binary under -fsanitize=thread (see .github/workflows/ci.yml).
@@ -22,21 +22,16 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/compiler.hpp"
-#include "core/generate.hpp"
 #include "data/anomaly_generator.hpp"
-#include "net/feature_extract.hpp"
 #include "runtime/inference_engine.hpp"
 #include "runtime/quant_cache.hpp"
-#include "runtime/stream_harness.hpp"
 
 namespace hb = homunculus::backends;
 namespace hc = homunculus::common;
 namespace hcore = homunculus::core;
 namespace hi = homunculus::ir;
 namespace hm = homunculus::math;
-namespace hn = homunculus::net;
 namespace hr = homunculus::runtime;
-namespace ml = homunculus::ml;
 
 namespace {
 
@@ -426,129 +421,4 @@ TEST(EvalOptions, SearchSpecBitIdenticalAcrossInferJobs)
     EXPECT_EQ(one.model.treeNodes.size(), four.model.treeNodes.size());
     EXPECT_EQ(one.searchHistory.history.size(),
               four.searchHistory.history.size());
-}
-
-// ---------------------------------------------------------- StreamHarness
-
-namespace {
-
-/** A 7-feature model matching the packet extractor's schema. */
-hi::ModelIr
-tcModel(std::uint64_t seed)
-{
-    return randomMlpIr(hn::kNumTcFeatures, {12, 8}, 5, seed);
-}
-
-std::vector<hn::RawPacket>
-iotTrace(std::size_t count, std::uint64_t seed)
-{
-    hn::IotPacketConfig config;
-    config.numPackets = count;
-    config.seed = seed;
-    std::vector<hn::RawPacket> packets;
-    packets.reserve(count);
-    for (auto &labeled : hn::generateIotPackets(config))
-        packets.push_back(std::move(labeled.packet));
-    return packets;
-}
-
-}  // namespace
-
-TEST(StreamHarness, DrainsPartialFinalBatchInTraceOrder)
-{
-    auto model = tcModel(83);
-    // 997 packets with batch 256: 3 full batches + a 229-row drain.
-    auto packets = iotTrace(997, 5);
-
-    hr::StreamConfig config;
-    config.batchRows = 256;
-    hr::StreamHarness harness(hr::InferenceEngine::fromModel(model, {}),
-                              hn::FeatureExtractor(), std::nullopt,
-                              config);
-    hr::StreamStats stats = harness.replay(packets);
-
-    EXPECT_EQ(stats.packetsOffered, 997u);
-    EXPECT_EQ(stats.packetsParsed, 997u);
-    EXPECT_EQ(stats.rowsClassified, 997u);
-    EXPECT_EQ(stats.batches, 4u);
-    ASSERT_EQ(stats.verdicts.size(), 997u);
-
-    // Verdicts match the engine run over the whole extracted matrix.
-    hn::FeatureExtractor extractor;
-    hm::Matrix features(packets.size(), hn::kNumTcFeatures);
-    for (std::size_t r = 0; r < packets.size(); ++r) {
-        auto row = extractor.extract(packets[r]);
-        for (std::size_t c = 0; c < row.size(); ++c)
-            features(r, c) = row[c];
-    }
-    EXPECT_EQ(stats.verdicts,
-              hi::ExecutablePlan::compile(model).run(features));
-}
-
-TEST(StreamHarness, PipelinedMatchesSequentialReplay)
-{
-    auto model = tcModel(89);
-    auto packets = iotTrace(1500, 11);
-
-    hr::EngineOptions engine_options;
-    engine_options.jobs = 2;
-    engine_options.minRowsToShard = 1;
-    hr::StreamConfig pipelined;
-    pipelined.batchRows = 200;
-    pipelined.pipelined = true;
-    hr::StreamConfig sequential = pipelined;
-    sequential.pipelined = false;
-
-    hr::StreamHarness a(hr::InferenceEngine::fromModel(model,
-                                                       engine_options),
-                        hn::FeatureExtractor(), std::nullopt, pipelined);
-    hr::StreamHarness b(hr::InferenceEngine::fromModel(model,
-                                                       engine_options),
-                        hn::FeatureExtractor(), std::nullopt, sequential);
-    hr::StreamStats sa = a.replay(packets);
-    hr::StreamStats sb = b.replay(packets);
-    EXPECT_EQ(sa.verdicts, sb.verdicts);
-    EXPECT_EQ(sa.batches, sb.batches);
-    EXPECT_EQ(sa.rowsClassified, sb.rowsClassified);
-    EXPECT_GT(sa.rowsPerSec, 0.0);
-    EXPECT_GE(sa.p99BatchLatencyUs, sa.p50BatchLatencyUs);
-}
-
-TEST(StreamHarness, WirePathDropsMalformedFramesOnly)
-{
-    auto model = tcModel(97);
-    auto packets = iotTrace(300, 13);
-    std::vector<std::vector<std::uint8_t>> frames;
-    frames.reserve(packets.size() + 1);
-    for (const auto &packet : packets)
-        frames.push_back(hn::serialize(packet));
-    frames.push_back({0xde, 0xad});  // truncated garbage frame.
-
-    hr::StreamConfig config;
-    config.batchRows = 128;
-    hr::StreamHarness harness(hr::InferenceEngine::fromModel(model, {}),
-                              hn::FeatureExtractor(), std::nullopt,
-                              config);
-    hr::StreamStats stats = harness.replayWire(frames);
-    EXPECT_EQ(stats.packetsOffered, 301u);
-    EXPECT_EQ(stats.packetsParsed, 300u);
-    EXPECT_EQ(stats.rowsClassified, 300u);
-}
-
-TEST(StreamHarness, RejectsMismatchedModelAndEmptyTraceIsClean)
-{
-    // 5-feature model cannot consume the 7-feature extractor schema.
-    EXPECT_THROW(
-        hr::StreamHarness(
-            hr::InferenceEngine::fromModel(randomMlpIr(5, {8}, 2, 3), {}),
-            hn::FeatureExtractor()),
-        std::runtime_error);
-
-    hr::StreamHarness harness(
-        hr::InferenceEngine::fromModel(tcModel(7), {}),
-        hn::FeatureExtractor());
-    hr::StreamStats stats = harness.replay({});
-    EXPECT_EQ(stats.rowsClassified, 0u);
-    EXPECT_EQ(stats.batches, 0u);
-    EXPECT_TRUE(stats.verdicts.empty());
 }

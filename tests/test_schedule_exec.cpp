@@ -1,22 +1,19 @@
 /**
  * @file
- * Tests for schedule *execution* (executeSchedule) and the pipeline
- * replay harness — the runtime halves of the composition story.
+ * Tests for schedule *execution* (executeSchedule) — the runtime half
+ * of the composition story.
  */
 #include <gtest/gtest.h>
 
 #include "backends/taurus.hpp"
 #include "common/rng.hpp"
-#include "core/pipeline_harness.hpp"
 #include "core/schedule.hpp"
-#include "ml/metrics.hpp"
 
 namespace hcore = homunculus::core;
 namespace hb = homunculus::backends;
 namespace hi = homunculus::ir;
 namespace ml = homunculus::ml;
 namespace hm = homunculus::math;
-namespace hn = homunculus::net;
 namespace hc = homunculus::common;
 
 namespace {
@@ -135,81 +132,4 @@ TEST(ExecuteSchedule, MissingModelThrows)
         hcore::executeSchedule(hcore::leaf(spec("ghost")), models,
                                platform, x),
         std::runtime_error);
-}
-
-// ----------------------------------------------------------- harness ---
-
-TEST(PipelineHarness, ReplaysParsedPacketsEndToEnd)
-{
-    hn::IotPacketConfig config;
-    config.numPackets = 400;
-    auto packets = hn::generateIotPackets(config);
-    hn::FeatureExtractor extractor;
-    auto dataset = datasetFromPackets(packets, extractor);
-
-    ml::StandardScaler scaler;
-    ml::Dataset scaled = dataset;
-    scaled.x = scaler.fitTransform(dataset.x);
-
-    ml::MlpConfig mlp_config;
-    mlp_config.inputDim = dataset.numFeatures();
-    mlp_config.numClasses = dataset.numClasses;
-    mlp_config.hiddenLayers = {12};
-    mlp_config.epochs = 30;
-    ml::Mlp mlp(mlp_config);
-    mlp.train(scaled);
-    auto ir = hi::lowerMlp(mlp, hc::FixedPointFormat::q88(), "tc");
-
-    hcore::PipelineHarness harness(
-        ir, std::make_shared<hb::TaurusPlatform>(), scaler, extractor);
-
-    std::vector<hn::RawPacket> raw;
-    std::vector<int> truth;
-    for (const auto &labeled : packets) {
-        raw.push_back(labeled.packet);
-        truth.push_back(labeled.deviceClass);
-    }
-    auto stats = harness.replay(raw);
-    EXPECT_EQ(stats.packetsOffered, 400u);
-    EXPECT_EQ(stats.packetsClassified, 400u);
-    EXPECT_GT(stats.modelThroughputGpps, 0.0);
-    EXPECT_GT(stats.modelLatencyNs, 0.0);
-    // Separable archetypes: the deployed model should be quite accurate.
-    EXPECT_GT(ml::accuracy(truth, stats.verdicts), 0.8);
-}
-
-TEST(PipelineHarness, WireReplayDropsMalformedFrames)
-{
-    hn::IotPacketConfig config;
-    config.numPackets = 50;
-    auto packets = hn::generateIotPackets(config);
-    hn::FeatureExtractor extractor;
-    auto dataset = datasetFromPackets(packets, extractor);
-
-    ml::StandardScaler scaler;
-    scaler.fit(dataset.x);
-    auto ir = trainedIr(hn::kNumTcFeatures, dataset.numClasses, 21);
-
-    hcore::PipelineHarness harness(
-        ir, std::make_shared<hb::TaurusPlatform>(), scaler, extractor);
-
-    std::vector<std::vector<std::uint8_t>> frames;
-    for (const auto &labeled : packets)
-        frames.push_back(serialize(labeled.packet));
-    // Corrupt every fifth frame's IPv4 header.
-    for (std::size_t i = 0; i < frames.size(); i += 5)
-        frames[i][hn::EthernetHeader::kWireSize + 8] ^= 0xFF;
-
-    auto stats = harness.replayWire(frames);
-    EXPECT_EQ(stats.packetsOffered, 50u);
-    EXPECT_EQ(stats.packetsParsed, 40u);
-    EXPECT_NEAR(stats.parseRate(), 0.8, 1e-9);
-    EXPECT_EQ(stats.verdicts.size(), 40u);
-}
-
-TEST(PipelineHarness, NullPlatformRejected)
-{
-    auto ir = trainedIr(3, 2, 30);
-    EXPECT_THROW(hcore::PipelineHarness(ir, nullptr, {}),
-                 std::runtime_error);
 }

@@ -354,6 +354,62 @@ TEST(Server, VerdictsBitIdenticalToOnePlanRun)
         EXPECT_EQ(verdicts.at(tickets[r]), reference[r]) << "row " << r;
 }
 
+TEST(Server, ReplayConfigFlushesBySizeAndKeepsSubmissionOrder)
+{
+    // homc --replay's configuration: one lane that flushes only at
+    // maxBatch rows or at the end-of-trace drain, unbounded admission.
+    // 997 frames at 256 rows: 3 size flushes + a 229-row drain.
+    auto model = tcModel(83);
+    hn::IotPacketConfig packet_config;
+    packet_config.numPackets = 997;
+    packet_config.seed = 5;
+    std::vector<hn::LabeledPacket> packets =
+        hn::generateIotPackets(packet_config);
+
+    std::mutex verdict_mutex;
+    std::vector<std::uint64_t> delivered;
+    std::vector<int> verdicts;
+    hr::ServerConfig config;
+    config.queue.maxBatch = 256;
+    config.queue.maxDelayUs = hr::kMaxQueueDelayUs;
+    config.queue.maxDepth = 0;
+    hr::EngineOptions engine_options;
+    engine_options.jobs = 2;
+    engine_options.minRowsToShard = 1;
+    hr::Server server(
+        hr::InferenceEngine::fromModel(model, engine_options), config,
+        [&](const hr::Request &request, int verdict) {
+            std::lock_guard<std::mutex> lock(verdict_mutex);
+            delivered.push_back(request.id);
+            verdicts.push_back(verdict);
+        });
+
+    std::vector<std::uint64_t> tickets;
+    for (const auto &labeled : packets) {
+        hr::SubmitResult result =
+            server.submitFrame(hn::serialize(labeled.packet));
+        ASSERT_TRUE(result.admitted());
+        tickets.push_back(result.ticket);
+    }
+    hr::ServerStats stats = server.stop();
+
+    EXPECT_EQ(stats.queue.sizeFlushes, 3u);
+    EXPECT_EQ(stats.queue.deadlineFlushes, 0u);
+    EXPECT_EQ(stats.queue.drainFlushes, 1u);
+    EXPECT_EQ(stats.batches, 4u);
+    EXPECT_EQ(delivered, tickets);
+
+    // Verdicts match one plan run over the whole extracted matrix.
+    hn::FeatureExtractor extractor;
+    hm::Matrix features(packets.size(), hn::kNumTcFeatures);
+    for (std::size_t r = 0; r < packets.size(); ++r) {
+        auto row = extractor.extract(packets[r].packet);
+        for (std::size_t c = 0; c < row.size(); ++c)
+            features(r, c) = row[c];
+    }
+    EXPECT_EQ(verdicts, hi::ExecutablePlan::compile(model).run(features));
+}
+
 TEST(Server, AppliesStoredScalerLikeTheTrainingTransform)
 {
     auto model = tcModel(31);

@@ -15,7 +15,8 @@
  *   homc --train t.csv --test e.csv   or: bring your own CSV data
  *        [--platform NAME]         target (default taurus)
  *        [--replay TRACE]          replay a packet trace through the
- *                                  winner on the streaming runtime
+ *                                  winner on the serving runtime
+ *                                  (one lane, size-only flushes)
  *        [--serve TRACE]           async serving mode through the
  *                                  multi-lane admission queue:
  *                                  --serve-lanes N priority lanes with
@@ -34,7 +35,6 @@
  *   homc --list-platforms          enumerate the backend registry
  *   homc --list-passes             enumerate the IR pass registry
  */
-#include <cctype>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -54,7 +54,6 @@
 #include "ir/serialize.hpp"
 #include "runtime/server.hpp"
 #include "runtime/sharded_server.hpp"
-#include "runtime/stream_harness.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace {
@@ -147,66 +146,16 @@ printKernelLine(std::ostream &out)
         << " (" << kernels::KernelDispatch::provenance() << ")\n";
 }
 
-/** Decode one hex-encoded frame line (whitespace tolerated). */
-std::vector<std::uint8_t>
-decodeHexFrame(const std::string &line)
-{
-    std::string hex;
-    hex.reserve(line.size());
-    for (char c : line)
-        if (!std::isspace(static_cast<unsigned char>(c)))
-            hex.push_back(c);
-    if (hex.size() % 2 != 0)
-        throw std::runtime_error("hex frame has odd digit count");
-    std::vector<std::uint8_t> bytes(hex.size() / 2);
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        bytes[i] = static_cast<std::uint8_t>(
-            std::stoul(hex.substr(2 * i, 2), nullptr, 16));
-    return bytes;
-}
-
 /**
- * Load --replay's trace as wire frames: "iot:N" generates N synthetic
- * IoT packets (serialized, so the replay exercises the full parse path),
- * anything else is a file of hex-encoded frames, one per line.
- */
-std::vector<std::vector<std::uint8_t>>
-loadReplayTrace(const std::string &trace)
-{
-    std::vector<std::vector<std::uint8_t>> frames;
-    if (common::startsWith(trace, "iot:")) {
-        net::IotPacketConfig config;
-        config.numPackets = std::stoull(trace.substr(4));
-        config.seed = bench::kBenchSeed ^ 0x5EAFull;
-        for (const auto &labeled : net::generateIotPackets(config))
-            frames.push_back(net::serialize(labeled.packet));
-        return frames;
-    }
-    std::ifstream in(trace);
-    if (!in)
-        throw std::runtime_error("cannot read trace file '" + trace + "'");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (common::trim(line).empty())
-            continue;
-        frames.push_back(decodeHexFrame(line));
-    }
-    return frames;
-}
-
-/**
- * Resolve the serving-time feature scaler. Artifacts since
- * homunculus-ir v3 record the provenance either way: stored moments win,
- * and a model recorded as trained on raw features is served raw — no
- * scaler is invented for it. Only legacy artifacts (no provenance at
- * all) fall back to refitting statistics on the trace itself, the old
- * approximation. --replay-raw disables scaling entirely.
- * @p provenance receives a printable description of the choice.
+ * Resolve the serving-time feature scaler of a freshly compiled winner:
+ * its stored training-time moments, or none when the artifact records
+ * that it was trained on raw features (the trainer always records
+ * which). --replay-raw disables scaling entirely. @p provenance
+ * receives a printable description of the choice.
  */
 std::optional<ml::StandardScaler>
 resolveServingScaler(const CliOptions &options,
                      const homunculus::ir::ModelIr &model,
-                     const std::vector<std::vector<std::uint8_t>> &frames,
                      std::string &provenance)
 {
     if (options.replayRaw) {
@@ -218,79 +167,8 @@ resolveServingScaler(const CliOptions &options,
         return ml::StandardScaler::fromMoments(model.scalerMeans,
                                                model.scalerStds);
     }
-    if (model.scalerRecorded) {
-        provenance = "artifact (model trained on raw features)";
-        return std::nullopt;
-    }
-    provenance = "trace-refit (artifact predates ir v3)";
-    net::FeatureExtractor extractor;
-    std::vector<std::vector<double>> rows;
-    for (const auto &frame : frames)
-        if (auto features = extractor.extractFromWire(frame))
-            rows.push_back(std::move(*features));
-    if (rows.empty())
-        return std::nullopt;
-    math::Matrix m(rows.size(), rows.front().size());
-    for (std::size_t r = 0; r < rows.size(); ++r)
-        for (std::size_t c = 0; c < rows[r].size(); ++c)
-            m(r, c) = rows[r][c];
-    ml::StandardScaler fitted;
-    fitted.fit(m);
-    return fitted;
-}
-
-/** Serving mode: replay a trace through the winner on the streaming
- *  runtime and print rows/s + micro-batch latency percentiles. */
-void
-runReplay(const CliOptions &options, const homunculus::ir::ModelIr &model)
-{
-    auto frames = loadReplayTrace(options.replay);
-    std::cout << "\nreplay    : " << options.replay << " ("
-              << frames.size() << " frames, batch "
-              << options.replayBatch << ", "
-              << (options.inferJobs == 0
-                      ? std::string("auto")
-                      : std::to_string(options.inferJobs))
-              << " infer jobs)\n";
-
-    runtime::EngineOptions engine_options;
-    engine_options.jobs = options.inferJobs;
-    // The operator already sized the micro-batch with --replay-batch;
-    // shard every batch rather than second-guessing with the engine's
-    // default inline threshold (sub-256-row batches still run inline
-    // because they produce a single shard).
-    engine_options.minRowsToShard = 1;
-    net::FeatureExtractor extractor;
-
-    std::string scaler_provenance;
-    std::optional<ml::StandardScaler> scaler =
-        resolveServingScaler(options, model, frames, scaler_provenance);
-    std::cout << "scaler    : " << scaler_provenance << "\n";
-    printKernelLine(std::cout);
-
-    runtime::StreamConfig stream_config;
-    stream_config.batchRows = options.replayBatch;
-    runtime::StreamHarness harness(
-        runtime::InferenceEngine::fromModel(model, engine_options),
-        extractor, std::move(scaler), stream_config);
-    runtime::StreamStats stats = harness.replayWire(frames);
-
-    std::map<int, std::size_t> verdict_counts;
-    for (int verdict : stats.verdicts)
-        ++verdict_counts[verdict];
-    std::cout << common::format(
-        "served    : %zu/%zu packets in %zu batches, %.0f rows/s\n",
-        stats.rowsClassified, stats.packetsOffered, stats.batches,
-        stats.rowsPerSec);
-    std::cout << common::format(
-        "latency   : p50 %.1f us / p99 %.1f us per batch "
-        "(extract %.3fs, infer %.3fs, wall %.3fs)\n",
-        stats.p50BatchLatencyUs, stats.p99BatchLatencyUs,
-        stats.extractSeconds, stats.inferSeconds, stats.wallSeconds);
-    std::cout << "verdicts  :";
-    for (const auto &[verdict, count] : verdict_counts)
-        std::cout << " class " << verdict << " x" << count;
-    std::cout << "\n";
+    provenance = "artifact (model trained on raw features)";
+    return std::nullopt;
 }
 
 /**
@@ -314,7 +192,7 @@ armServeFaults(const CliOptions &options)
     std::cout << "\n";
 }
 
-/** The post-run fault-tolerance summary both serving modes print. */
+/** The post-run fault-tolerance summary of a serving run. */
 void
 printFaultSummary(const runtime::ServerStats &stats)
 {
@@ -338,8 +216,8 @@ printFaultSummary(const runtime::ServerStats &stats)
     std::cout << "\n";
 }
 
-/** Per-shard stats lines both serving modes print after stop() when
- *  --serve-shards splits the front door. */
+/** Per-shard stats lines, printed after stop() when --serve-shards
+ *  splits the front door. */
 void
 printShardLines(const runtime::ShardedServer &server)
 {
@@ -433,186 +311,12 @@ dumpServeStats(const CliOptions &options,
     std::cout << "stats-json: " << options.serveStatsJson << "\n";
 }
 
-/**
- * Async serving mode: feed the trace into runtime::Server as an
- * open-loop arrival process at --serve-rate rows/s (0 = as fast as
- * submission runs) and report admission, batching-policy, and latency
- * statistics — per lane when --serve-lanes splits the trace into a
- * probe lane and bulk lanes. Unlike --replay (whole trace, fixed
- * micro-batches), this exercises the per-lane deadline-vs-size batcher
- * and the configured backpressure mode.
- */
-void
-runServe(const CliOptions &options, const homunculus::ir::ModelIr &model)
+/** The --serve-model artifacts in one registry (a name given again
+ *  stacks its next version), with one header line per load. */
+std::shared_ptr<runtime::ModelRegistry>
+loadRegistry(const CliOptions &options,
+             const runtime::EngineOptions &engine_options)
 {
-    auto frames = loadReplayTrace(options.serve);
-    std::vector<runtime::QueuePolicy> lanes = tools::lanePolicies(options);
-    std::cout << "\nserve     : " << options.serve << " ("
-              << frames.size() << " frames, " << lanes.size()
-              << (lanes.size() == 1 ? " lane, " : " lanes, ")
-              << runtime::backpressureModeName(options.serveBackpressure)
-              << " backpressure, rate "
-              << (options.serveRate <= 0.0
-                      ? std::string("max")
-                      : common::format("%.0f/s", options.serveRate))
-              << ")\n";
-    for (std::size_t lane = 0; lane < lanes.size(); ++lane)
-        std::cout << common::format(
-            "lane %zu    : maxBatch %zu, maxDelay %llu us, depth %zu\n",
-            lane, lanes[lane].maxBatch,
-            static_cast<unsigned long long>(lanes[lane].maxDelayUs),
-            lanes[lane].maxDepth);
-    printScaleOutLines(options);
-
-    std::string scaler_provenance;
-    std::optional<ml::StandardScaler> scaler =
-        resolveServingScaler(options, model, frames, scaler_provenance);
-    std::cout << "scaler    : " << scaler_provenance << "\n";
-    printKernelLine(std::cout);
-
-    runtime::EngineOptions engine_options;
-    engine_options.jobs = options.inferJobs;
-    engine_options.minRowsToShard = 1;
-
-    runtime::ServerConfig server_config;
-    server_config.queue = lanes.front();
-    server_config.extraLanes.assign(lanes.begin() + 1, lanes.end());
-    server_config.backpressure = options.serveBackpressure;
-    server_config.blockTimeoutUs = options.serveBlockTimeoutUs;
-    server_config.retryDepth = options.serveRetryDepth;
-    server_config.fairnessAgingUs = options.serveAgingUs;
-    armServeFaults(options);
-    auto trace_sink = makeTraceSink(options);
-    server_config.trace = trace_sink.get();
-
-    std::mutex verdict_mutex;
-    std::map<int, std::size_t> verdict_counts;
-    auto on_verdict = [&](const runtime::Request &, int verdict) {
-        std::lock_guard<std::mutex> lock(verdict_mutex);
-        ++verdict_counts[verdict];
-    };
-    // --serve-shards > 1 swaps the single Server for a ShardedServer
-    // front door; frames still enter via submitFrame, which keys each
-    // one by its 5-tuple so a flow sticks to one shard.
-    std::unique_ptr<runtime::Server> server;
-    std::unique_ptr<runtime::ShardedServer> sharded;
-    if (options.serveShards > 1) {
-        runtime::ShardedServerConfig sharded_config;
-        sharded_config.shards = options.serveShards;
-        sharded_config.server = server_config;
-        sharded = std::make_unique<runtime::ShardedServer>(
-            runtime::InferenceEngine::fromModel(model, engine_options),
-            sharded_config, on_verdict, std::move(scaler));
-    } else {
-        server = std::make_unique<runtime::Server>(
-            runtime::InferenceEngine::fromModel(model, engine_options),
-            server_config, on_verdict, std::move(scaler));
-    }
-
-    using Clock = std::chrono::steady_clock;
-    auto started = Clock::now();
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        if (options.serveRate > 0.0) {
-            // Open-loop pacing: submit frame i at its scheduled arrival
-            // time regardless of how the server is keeping up.
-            auto due = started + std::chrono::duration_cast<
-                                     Clock::duration>(
-                                     std::chrono::duration<double>(
-                                         static_cast<double>(i) /
-                                         options.serveRate));
-            std::this_thread::sleep_until(due);
-        }
-        std::size_t lane = tools::laneForFrame(i, options);
-        if (sharded)
-            sharded->submitFrame(frames[i], lane);
-        else
-            server->submitFrame(frames[i], lane);
-        if (options.serveStatsEvery != 0 &&
-            (i + 1) % options.serveStatsEvery == 0)
-            printStatsLine(i + 1,
-                           sharded ? sharded->metricsSnapshot()
-                                   : server->metrics().snapshot());
-    }
-    runtime::ServerStats stats = sharded ? sharded->stop()
-                                         : server->stop();
-
-    std::cout << common::format(
-        "admitted  : %llu rows (%llu shed, %llu early-dropped, "
-        "%zu malformed) in %zu batches (mean %.1f rows)\n",
-        static_cast<unsigned long long>(stats.queue.accepted),
-        static_cast<unsigned long long>(stats.queue.shed),
-        static_cast<unsigned long long>(stats.queue.earlyDropped),
-        stats.malformedFrames, stats.batches, stats.meanBatchRows);
-    std::cout << common::format(
-        "flushes   : %llu size / %llu deadline / %llu drain\n",
-        static_cast<unsigned long long>(stats.queue.sizeFlushes),
-        static_cast<unsigned long long>(stats.queue.deadlineFlushes),
-        static_cast<unsigned long long>(stats.queue.drainFlushes));
-    std::cout << common::format(
-        "latency   : request p50 %.1f us / p99 %.1f us, batch infer "
-        "p50 %.1f us / p99 %.1f us (wall %.3fs)\n",
-        stats.p50RequestLatencyUs, stats.p99RequestLatencyUs,
-        stats.p50BatchLatencyUs, stats.p99BatchLatencyUs,
-        stats.wallSeconds);
-    if (stats.lanes.size() > 1)
-        for (std::size_t lane = 0; lane < stats.lanes.size(); ++lane) {
-            const runtime::LaneStats &ls = stats.lanes[lane];
-            std::cout << common::format(
-                "lane %zu    : served %zu (%llu shed, %llu dropped), "
-                "request p50 %.1f us / p99 %.1f us\n",
-                lane, ls.rowsServed,
-                static_cast<unsigned long long>(ls.queue.shed),
-                static_cast<unsigned long long>(ls.queue.earlyDropped),
-                ls.p50RequestLatencyUs, ls.p99RequestLatencyUs);
-        }
-    if (sharded)
-        printShardLines(*sharded);
-    printFaultSummary(stats);
-    dumpServeStats(options,
-                   sharded ? sharded->metricsSnapshot()
-                           : server->metrics().snapshot(),
-                   trace_sink.get());
-    std::cout << "verdicts  :";
-    for (const auto &[verdict, count] : verdict_counts)
-        std::cout << " class " << verdict << " x" << count;
-    std::cout << "\n";
-}
-
-/**
- * Multi-model serving mode (--serve-model): load pre-compiled
- * homunculus-ir artifacts into a ModelRegistry, bind lanes and chain
- * rules through a Router, and feed the trace exactly like runServe —
- * no compile happens at all. The --serve-swap-after hook hot-swaps a
- * model's active plan mid-run; batches in flight finish on the version
- * that admitted them, the next batch picks up the new one. Per-model
- * stats print after the per-lane block.
- */
-void
-runServeRegistry(const CliOptions &options)
-{
-    auto frames = loadReplayTrace(options.serve);
-    std::vector<runtime::QueuePolicy> lanes = tools::lanePolicies(options);
-    std::cout << "\nserve     : " << options.serve << " ("
-              << frames.size() << " frames, " << lanes.size()
-              << (lanes.size() == 1 ? " lane, " : " lanes, ")
-              << runtime::backpressureModeName(options.serveBackpressure)
-              << " backpressure, rate "
-              << (options.serveRate <= 0.0
-                      ? std::string("max")
-                      : common::format("%.0f/s", options.serveRate))
-              << ")\n";
-    for (std::size_t lane = 0; lane < lanes.size(); ++lane)
-        std::cout << common::format(
-            "lane %zu    : maxBatch %zu, maxDelay %llu us, depth %zu\n",
-            lane, lanes[lane].maxBatch,
-            static_cast<unsigned long long>(lanes[lane].maxDelayUs),
-            lanes[lane].maxDepth);
-    printScaleOutLines(options);
-
-    printKernelLine(std::cout);
-    runtime::EngineOptions engine_options;
-    engine_options.jobs = options.inferJobs;
-    engine_options.minRowsToShard = 1;
     auto registry =
         std::make_shared<runtime::ModelRegistry>(engine_options);
     for (const auto &[name, path] : options.serveModels) {
@@ -625,7 +329,14 @@ runServeRegistry(const CliOptions &options)
             path.c_str(), epoch->inputDim(), epoch->numClasses(),
             epoch->scaler ? "artifact" : "raw");
     }
+    return registry;
+}
 
+/** The --serve-model route: default model, lane bindings, chain and
+ *  fallback rules, with one header line per rule. */
+runtime::RouteConfig
+buildRoute(const CliOptions &options)
+{
     runtime::RouteConfig route;
     route.defaultModel = options.serveModels.front().first;
     route.laneModels = options.serveLaneModels;
@@ -651,6 +362,72 @@ runServeRegistry(const CliOptions &options)
         std::cout << common::format(" (breaker threshold %zu)\n",
                                     route.breakerThreshold);
     }
+    return route;
+}
+
+/**
+ * --replay as a serving configuration: the whole trace through one
+ * lane that flushes only at --replay-batch rows or at the end-of-trace
+ * drain, with unbounded admission (nothing is shed) and no pacing.
+ * Every other serving knob stays at its default.
+ */
+CliOptions
+replayOptions(const CliOptions &options)
+{
+    CliOptions replay;
+    replay.serve = options.replay;
+    replay.serveMaxBatch = options.replayBatch;
+    replay.serveMaxDelayUs = runtime::kMaxQueueDelayUs;
+    replay.serveDepth = 0;
+    replay.replayRaw = options.replayRaw;
+    replay.inferJobs = options.inferJobs;
+    return replay;
+}
+
+/**
+ * The serving driver behind --replay, --serve and --serve-model: load
+ * options.serve's trace, print the header, build the server, submit
+ * every frame (open-loop at --serve-rate rows/s; 0 = as fast as
+ * submission runs), fire the --serve-swap-after hook, stop, and print
+ * admission, flush, latency, per-lane, per-model, per-shard and
+ * failure statistics plus the verdict counts.
+ *
+ * Construction is the one place the forms differ. A compiled @p winner
+ * runs on the engine form of Server (ShardedServer when
+ * --serve-shards > 1) with its artifact scaler; without one, the
+ * --serve-model artifacts run from a ModelRegistry behind a Router,
+ * where a hot swap lands at the next batch of every shard.
+ */
+void
+serveTrace(const char *mode, const CliOptions &options,
+           const homunculus::ir::ModelIr *winner)
+{
+    auto frames = tools::loadTrace(options.serve);
+    std::vector<runtime::QueuePolicy> lanes = tools::lanePolicies(options);
+    std::cout << common::format("\n%-10s: ", mode) << options.serve
+              << " (" << frames.size() << " frames, " << lanes.size()
+              << (lanes.size() == 1 ? " lane, " : " lanes, ")
+              << runtime::backpressureModeName(options.serveBackpressure)
+              << " backpressure, rate "
+              << (options.serveRate <= 0.0
+                      ? std::string("max")
+                      : common::format("%.0f/s", options.serveRate))
+              << ")\n";
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane)
+        std::cout << common::format(
+            "lane %zu    : maxBatch %zu, maxDelay %llu us, depth %zu\n",
+            lane, lanes[lane].maxBatch,
+            static_cast<unsigned long long>(lanes[lane].maxDelayUs),
+            lanes[lane].maxDepth);
+    printScaleOutLines(options);
+    printKernelLine(std::cout);
+
+    runtime::EngineOptions engine_options;
+    engine_options.jobs = options.inferJobs;
+    // The operator already sized the batches; shard every batch rather
+    // than second-guessing with the engine's default inline threshold
+    // (sub-256-row batches still run inline as a single shard).
+    engine_options.minRowsToShard = 1;
 
     runtime::ServerConfig server_config;
     server_config.queue = lanes.front();
@@ -662,6 +439,9 @@ runServeRegistry(const CliOptions &options)
     armServeFaults(options);
     auto trace_sink = makeTraceSink(options);
     server_config.trace = trace_sink.get();
+    runtime::ShardedServerConfig sharded_config;
+    sharded_config.shards = options.serveShards;
+    sharded_config.server = server_config;
 
     std::mutex verdict_mutex;
     std::map<int, std::size_t> verdict_counts;
@@ -669,23 +449,41 @@ runServeRegistry(const CliOptions &options)
         std::lock_guard<std::mutex> lock(verdict_mutex);
         ++verdict_counts[verdict];
     };
-    // Sharded registry serving: shards share the registry (a hot swap
-    // hits every shard at its next batch) but each runs its own Router.
+    // Frames enter through submitFrame either way; a ShardedServer keys
+    // each one by its 5-tuple so a flow sticks to one shard.
     std::unique_ptr<runtime::Server> server;
     std::unique_ptr<runtime::ShardedServer> sharded;
-    if (options.serveShards > 1) {
-        runtime::ShardedServerConfig sharded_config;
-        sharded_config.shards = options.serveShards;
-        sharded_config.server = server_config;
-        sharded = std::make_unique<runtime::ShardedServer>(
-            registry, route, sharded_config, on_verdict);
+    std::shared_ptr<runtime::ModelRegistry> registry;
+    runtime::RouteConfig route;
+    if (winner != nullptr) {
+        std::string scaler_provenance;
+        std::optional<ml::StandardScaler> scaler =
+            resolveServingScaler(options, *winner, scaler_provenance);
+        std::cout << "scaler    : " << scaler_provenance << "\n";
+        auto engine =
+            runtime::InferenceEngine::fromModel(*winner, engine_options);
+        if (options.serveShards > 1)
+            sharded = std::make_unique<runtime::ShardedServer>(
+                engine, sharded_config, on_verdict, std::move(scaler));
+        else
+            server = std::make_unique<runtime::Server>(
+                std::move(engine), server_config, on_verdict,
+                std::move(scaler));
     } else {
-        server = std::make_unique<runtime::Server>(
-            registry, route, server_config, on_verdict);
+        registry = loadRegistry(options, engine_options);
+        route = buildRoute(options);
+        if (options.serveShards > 1)
+            sharded = std::make_unique<runtime::ShardedServer>(
+                registry, route, sharded_config, on_verdict);
+        else
+            server = std::make_unique<runtime::Server>(
+                registry, route, server_config, on_verdict);
     }
+    auto snapshot = [&] {
+        return sharded ? sharded->metricsSnapshot()
+                       : server->metrics().snapshot();
+    };
 
-    using Clock = std::chrono::steady_clock;
-    auto started = Clock::now();
     bool swapped = false;
     auto fire_swap = [&](std::size_t after_frames) {
         std::uint64_t previous = registry->swap(
@@ -698,8 +496,12 @@ runServeRegistry(const CliOptions &options)
             static_cast<unsigned long long>(options.serveSwapVersion),
             after_frames);
     };
+    using Clock = std::chrono::steady_clock;
+    auto started = Clock::now();
     for (std::size_t i = 0; i < frames.size(); ++i) {
         if (options.serveRate > 0.0) {
+            // Open-loop pacing: submit frame i at its scheduled arrival
+            // time regardless of how the server is keeping up.
             auto due = started + std::chrono::duration_cast<
                                      Clock::duration>(
                                      std::chrono::duration<double>(
@@ -717,9 +519,7 @@ runServeRegistry(const CliOptions &options)
             fire_swap(i + 1);
         if (options.serveStatsEvery != 0 &&
             (i + 1) % options.serveStatsEvery == 0)
-            printStatsLine(i + 1,
-                           sharded ? sharded->metricsSnapshot()
-                                   : server->metrics().snapshot());
+            printStatsLine(i + 1, snapshot());
     }
     // A trace shorter than N still honors the hook (exercised last).
     if (options.serveSwapAfter != 0 && !swapped)
@@ -735,11 +535,19 @@ runServeRegistry(const CliOptions &options)
         static_cast<unsigned long long>(stats.queue.earlyDropped),
         stats.malformedFrames, stats.batches, stats.meanBatchRows);
     std::cout << common::format(
-        "latency   : request p50 %.1f us / p99 %.1f us, batch "
-        "p50 %.1f us / p99 %.1f us (wall %.3fs)\n",
+        "flushes   : %llu size / %llu deadline / %llu drain\n",
+        static_cast<unsigned long long>(stats.queue.sizeFlushes),
+        static_cast<unsigned long long>(stats.queue.deadlineFlushes),
+        static_cast<unsigned long long>(stats.queue.drainFlushes));
+    std::cout << common::format(
+        "latency   : request p50 %.1f us / p99 %.1f us, batch infer "
+        "p50 %.1f us / p99 %.1f us (wall %.3fs, %.0f rows/s)\n",
         stats.p50RequestLatencyUs, stats.p99RequestLatencyUs,
         stats.p50BatchLatencyUs, stats.p99BatchLatencyUs,
-        stats.wallSeconds);
+        stats.wallSeconds,
+        stats.wallSeconds > 0.0
+            ? static_cast<double>(stats.rowsServed) / stats.wallSeconds
+            : 0.0);
     if (stats.lanes.size() > 1)
         for (std::size_t lane = 0; lane < stats.lanes.size(); ++lane) {
             const runtime::LaneStats &ls = stats.lanes[lane];
@@ -769,10 +577,7 @@ runServeRegistry(const CliOptions &options)
     if (sharded)
         printShardLines(*sharded);
     printFaultSummary(stats);
-    dumpServeStats(options,
-                   sharded ? sharded->metricsSnapshot()
-                           : server->metrics().snapshot(),
-                   trace_sink.get());
+    dumpServeStats(options, snapshot(), trace_sink.get());
     std::cout << "verdicts  :";
     for (const auto &[verdict, count] : verdict_counts)
         std::cout << " class " << verdict << " x" << count;
@@ -896,7 +701,7 @@ main(int argc, char **argv)
         // Registry serving runs pre-compiled artifacts straight into
         // the multi-model plane — no spec, no search, no compile.
         try {
-            runServeRegistry(options);
+            serveTrace("serve", options, nullptr);
         } catch (const std::exception &error) {
             std::cerr << "homc: " << error.what() << "\n";
             return 1;
@@ -999,9 +804,9 @@ main(int argc, char **argv)
                       << model.code.size() << " bytes)\n";
         }
         if (!options.replay.empty())
-            runReplay(options, model.model);
+            serveTrace("replay", replayOptions(options), &model.model);
         if (!options.serve.empty())
-            runServe(options, model.model);
+            serveTrace("serve", options, &model.model);
     } catch (const std::exception &error) {
         std::cerr << "homc: " << error.what() << "\n";
         return 1;

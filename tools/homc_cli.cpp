@@ -1,11 +1,15 @@
 #include "homc_cli.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <fstream>
 #include <map>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "common/string_util.hpp"
+#include "net/feature_extract.hpp"
 #include "runtime/fault_injector.hpp"
 
 namespace homunculus::tools {
@@ -111,6 +115,49 @@ parseU64(const std::string &flag, const std::string &text,
             << " expects a non-negative integer, got '" << text << "'\n";
         return false;
     }
+}
+
+/** The synthetic-trace spec prefix: "iot:N" is N generated frames. */
+constexpr char kIotTrace[] = "iot:";
+
+/** N of an "iot:N" trace spec, validated like any numeric flag. */
+bool
+parseIotCount(const std::string &flag, const std::string &spec,
+              std::uint64_t &into, std::ostream &err)
+{
+    return parseU64(flag + " " + kIotTrace + "N",
+                    spec.substr(std::string(kIotTrace).size()), into, err);
+}
+
+/** Decode line @p line_no of a hex trace file (whitespace ignored). */
+std::vector<std::uint8_t>
+decodeHexFrame(const std::string &line, std::size_t line_no)
+{
+    auto fail = [&](const std::string &why) {
+        return std::runtime_error("trace line " + std::to_string(line_no) +
+                                  ": " + why);
+    };
+    auto nibble = [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c))
+                   ? c - '0'
+                   : std::tolower(static_cast<unsigned char>(c)) - 'a' + 10;
+    };
+    std::string hex;
+    hex.reserve(line.size());
+    for (char c : line) {
+        if (std::isspace(static_cast<unsigned char>(c)))
+            continue;
+        if (!std::isxdigit(static_cast<unsigned char>(c)))
+            throw fail(std::string("'") + c + "' is not a hex digit");
+        hex.push_back(c);
+    }
+    if (hex.size() % 2 != 0)
+        throw fail("odd hex digit count");
+    std::vector<std::uint8_t> bytes(hex.size() / 2);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(nibble(hex[2 * i]) << 4 |
+                                              nibble(hex[2 * i + 1]));
+    return bytes;
 }
 
 bool
@@ -306,6 +353,15 @@ parseArgs(int argc, const char *const *argv, CliOptions &options,
         flags.erase(it);
     };
 
+    // Trace specs are checked here, so a bad "iot:N" exits 2 before
+    // the compile runs.
+    auto take_trace = [&](const char *name, std::string &into) {
+        take(name, into);
+        std::uint64_t frames = 0;
+        if (common::startsWith(into, kIotTrace))
+            ok = parseIotCount(name, into, frames, err) && ok;
+    };
+
     take("app", options.app);
     take("train", options.trainCsv);
     take("test", options.testCsv);
@@ -315,9 +371,9 @@ parseArgs(int argc, const char *const *argv, CliOptions &options,
     take("save", options.savePath);
     take("pareto", options.paretoMetric);
     take("passes", options.passes);
-    take("replay", options.replay);
+    take_trace("replay", options.replay);
     take_size("replay-batch", options.replayBatch);
-    take("serve", options.serve);
+    take_trace("serve", options.serve);
     take_double("serve-rate", options.serveRate, nullptr);
     take_size("serve-max-batch", options.serveMaxBatch);
     take_u64("serve-max-delay-us", options.serveMaxDelayUs);
@@ -641,6 +697,33 @@ lanePolicies(const CliOptions &options)
     return policies;
 }
 
+std::vector<std::vector<std::uint8_t>>
+loadTrace(const std::string &trace)
+{
+    std::vector<std::vector<std::uint8_t>> frames;
+    if (common::startsWith(trace, kIotTrace)) {
+        std::uint64_t count = 0;
+        std::ostringstream ignored;
+        if (!parseIotCount("trace", trace, count, ignored))
+            throw std::runtime_error("bad trace spec '" + trace +
+                                     "' (want iot:N, N >= 0)");
+        net::IotPacketConfig config;
+        config.numPackets = static_cast<std::size_t>(count);
+        config.seed = kDefaultSeed ^ 0x5EAFull;
+        for (const auto &labeled : net::generateIotPackets(config))
+            frames.push_back(net::serialize(labeled.packet));
+        return frames;
+    }
+    std::ifstream in(trace);
+    if (!in)
+        throw std::runtime_error("cannot read trace file '" + trace + "'");
+    std::string line;
+    for (std::size_t line_no = 1; std::getline(in, line); ++line_no)
+        if (!common::trim(line).empty())
+            frames.push_back(decodeHexFrame(line, line_no));
+    return frames;
+}
+
 std::size_t
 laneForFrame(std::size_t index, const CliOptions &options)
 {
@@ -675,7 +758,9 @@ printUsage(std::ostream &out)
         "                           (0 = #cores)\n"
         "  --replay TRACE           serving mode: replay iot:N or a\n"
         "                           hex-frame file through the winner\n"
-        "  --replay-batch N         replay micro-batch rows (default 1024)\n"
+        "                           on one lane, flushed only by size\n"
+        "                           or the final drain, nothing shed\n"
+        "  --replay-batch N         replay flush size (default 1024)\n"
         "  --replay-raw             skip feature standardization on replay\n"
         "                           and --serve\n"
         "  --serve TRACE            async serving mode: feed the trace\n"

@@ -3,8 +3,8 @@
  * homc's command-line surface, split out of the driver so it is
  * testable: option struct, strict argument parsing (unknown flags are
  * an error with a nearest-match hint, non-numeric values for numeric
- * flags are an error instead of an uncaught std::stoull abort), and
- * the serving-lane policy builder.
+ * flags are an error instead of an uncaught std::stoull abort), the
+ * serving-lane policy builder, and the trace loader.
  */
 #pragma once
 
@@ -151,6 +151,16 @@ ParseResult parseArgs(int argc, const char *const *argv,
  * list length == serveLanes), else from the single-lane defaults.
  */
 std::vector<runtime::QueuePolicy> lanePolicies(const CliOptions &options);
+
+/**
+ * Load a --replay / --serve trace as wire frames. "iot:N" generates N
+ * synthetic IoT packets, serialized so serving runs the full parse
+ * path; anything else names a file of hex-encoded frames, one per line
+ * (whitespace ignored, blank lines skipped). Throws std::runtime_error
+ * for a bad "iot:" count, an unreadable file, or a line holding a
+ * non-hex character or an odd digit count (the message names the line).
+ */
+std::vector<std::vector<std::uint8_t>> loadTrace(const std::string &trace);
 
 /** Lane for the i-th --serve frame: every probe-every-th frame is a
  *  probe (lane 0), the rest round-robin over lanes 1..N-1. */
