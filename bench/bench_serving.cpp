@@ -5,13 +5,8 @@
  *
  * Part 1 — dispatch micro-bench: p50/p99 latency of sharding one small
  * (64-row) batch through InferenceEngine on the warm persistent
- * executor, against a faithful reimplementation of the PR 3 baseline
- * that spawned fresh std::threads per dispatch. This isolates the
- * ~tens-of-us fan-out cost the executor removes from every serving
- * micro-batch (labels cross-checked on both paths). Acceptance: the
- * executor's small-batch p50 beats the spawn baseline (verdict printed;
- * enforced via exit code on hosts with >= 4 cores, like the scaling
- * bench).
+ * executor — the fan-out cost every serving micro-batch pays (labels
+ * cross-checked against one plan run). Reported, not gated.
  *
  * Part 2 — batching-policy sweep: requests arrive open-loop at a
  * fraction of measured capacity, in bursts, and are served through
@@ -61,16 +56,12 @@
  * keep availability >= 99%.
  *
  * Part 7 — submit-path contention sweep: the lock-free MPSC admission
- * door against an in-bench reimplementation of the PR 8 door (one
- * mutex + deque + CV around every push), driven by 1..8 tight-loop
- * submitter threads against a draining consumer, across 1 and 4
- * lanes; then a ShardedServer shard sweep (1/2/4 shards) fed from
- * concurrent producers with per-row flow keys. Acceptance: submit p99
- * stays flat within 2x as submitters grow 1 -> 8 (the mutex door
- * convoys instead — that contrast is the point), single-submitter
- * door throughput is not regressed vs the mutex baseline (>= 0.9x),
- * and every sharded verdict is bit-identical to a single plan run
- * (count-based, enforced on every host; the two timing bars join the
+ * door driven by 1..8 tight-loop submitter threads against a draining
+ * consumer, across 1 and 4 lanes; then a ShardedServer shard sweep
+ * (1/2/4 shards) fed from concurrent producers with per-row flow keys.
+ * Acceptance: submit p99 stays flat within 2x as submitters grow
+ * 1 -> 8, and every sharded verdict is bit-identical to a single plan
+ * run (count-based, enforced on every host; the flatness bar joins the
  * >= 4-core gate).
  *
  * Usage: bench_serving [--json PATH]
@@ -81,8 +72,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -115,39 +104,6 @@ struct DispatchStats
     double p50Us = 0.0;
     double p99Us = 0.0;
 };
-
-/**
- * The PR 3 dispatch, reproduced as a baseline: every call spawns fresh
- * threads that work-steal chunks off an atomic counter, then joins
- * them. Same chunking, same per-worker Scratch arenas as the engine —
- * the only difference from the executor path is thread creation per
- * batch.
- */
-void
-spawnPerBatchRun(const ir::ExecutablePlan &plan, const math::Matrix &x,
-                 std::size_t jobs, std::size_t shard_rows, int *labels)
-{
-    std::size_t num_chunks = (x.rows() + shard_rows - 1) / shard_rows;
-    std::size_t workers = std::min(jobs, num_chunks);
-    std::vector<ir::ExecutablePlan::Scratch> scratches(workers);
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        threads.emplace_back([&, w] {
-            for (;;) {
-                std::size_t chunk = next.fetch_add(1);
-                if (chunk >= num_chunks)
-                    return;
-                std::size_t begin = chunk * shard_rows;
-                std::size_t end = std::min(begin + shard_rows, x.rows());
-                plan.runRange(x, begin, end, labels + begin,
-                              scratches[w]);
-            }
-        });
-    for (auto &thread : threads)
-        thread.join();
-}
 
 DispatchStats
 measureDispatch(const std::function<void()> &dispatch, std::size_t iters)
@@ -256,76 +212,6 @@ sweepConfig(const ir::ModelIr &model, const math::Matrix &rows,
     return result;
 }
 
-/**
- * The PR 8 admission door, reproduced as the part-7 baseline: one
- * mutex + deque per lane and a CV, taken on *every* push. Same
- * observable semantics as kShed RequestQueue admission (bounded depth,
- * shed beyond it, batch pops), so the sweep isolates exactly the door:
- * lock convoy vs lock-free ticket + ring.
- */
-class MutexDoorQueue
-{
-  public:
-    MutexDoorQueue(std::size_t lanes, std::size_t max_depth,
-                   std::size_t max_batch)
-        : rows_(lanes), maxDepth_(max_depth), maxBatch_(max_batch)
-    {
-    }
-
-    runtime::Admission push(runtime::Request request, std::size_t lane)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (closed_)
-            return runtime::Admission::kRejectedClosed;
-        if (rows_[lane].size() >= maxDepth_)
-            return runtime::Admission::kShed;
-        rows_[lane].push_back(std::move(request));
-        readyCv_.notify_one();
-        return runtime::Admission::kAdmitted;
-    }
-
-    /** Blocking batch pop; false once closed and drained. */
-    bool pop(std::vector<runtime::Request> &out)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        readyCv_.wait(lock, [&] {
-            if (closed_)
-                return true;
-            for (const auto &lane : rows_)
-                if (!lane.empty())
-                    return true;
-            return false;
-        });
-        for (auto &lane : rows_) {
-            if (lane.empty())
-                continue;
-            std::size_t take = std::min(maxBatch_, lane.size());
-            out.assign(std::make_move_iterator(lane.begin()),
-                       std::make_move_iterator(lane.begin() +
-                                               static_cast<long>(take)));
-            lane.erase(lane.begin(),
-                       lane.begin() + static_cast<long>(take));
-            return true;
-        }
-        return false;  // closed and empty.
-    }
-
-    void close()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        closed_ = true;
-        readyCv_.notify_all();
-    }
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable readyCv_;
-    std::vector<std::deque<runtime::Request>> rows_;
-    std::size_t maxDepth_;
-    std::size_t maxBatch_;
-    bool closed_ = false;
-};
-
 struct ContentionResult
 {
     double p50SubmitUs = 0.0;
@@ -429,30 +315,12 @@ main(int argc, char **argv)
     DispatchStats pooled = measureDispatch(
         [&] { engine.run(small, labels.data()); }, 3000);
 
-    spawnPerBatchRun(plan, small, jobs, kShardRows, labels.data());
-    if (labels != reference)
-        throw std::runtime_error("serving bench: spawn labels diverge");
-    DispatchStats spawned = measureDispatch(
-        [&] {
-            spawnPerBatchRun(plan, small, jobs, kShardRows,
-                             labels.data());
-        },
-        1500);
-
-    double dispatch_speedup =
-        pooled.p50Us > 0.0 ? spawned.p50Us / pooled.p50Us : 0.0;
     std::cout << common::format(
         "=== 64-row dispatch, %zu jobs (%zu hardware threads) ===\n"
-        "executor   p50 %8.1f us   p99 %8.1f us\n"
-        "spawn      p50 %8.1f us   p99 %8.1f us   (executor %.2fx)\n",
-        jobs, hardware, pooled.p50Us, pooled.p99Us, spawned.p50Us,
-        spawned.p99Us, dispatch_speedup);
+        "executor   p50 %8.1f us   p99 %8.1f us\n",
+        jobs, hardware, pooled.p50Us, pooled.p99Us);
     json.add("dispatch64/executor",
              {{"p50_us", pooled.p50Us}, {"p99_us", pooled.p99Us}});
-    json.add("dispatch64/spawn",
-             {{"p50_us", spawned.p50Us},
-              {"p99_us", spawned.p99Us},
-              {"executor_speedup_p50", dispatch_speedup}});
 
     // ------------------------------------ part 2: batching policies ---
     // Capacity: steady-state engine throughput on full batches.
@@ -1033,10 +901,9 @@ main(int argc, char **argv)
     bool fault_available = fault_availability >= 0.99;
 
     // --------------- part 7: submit-door contention + sharded sweep ---
-    // Tight-loop submitters against a draining consumer: the mutex+CV
-    // baseline door convoys as submitters grow; the lock-free ticket +
-    // MPSC ring door must keep its submit p99 flat within 2x from 1 to
-    // 8 threads, without giving up single-submitter throughput.
+    // Tight-loop submitters against a draining consumer: the lock-free
+    // ticket + MPSC ring door must keep its submit p99 flat within 2x
+    // from 1 to 8 threads.
     constexpr double kDoorSeconds = 0.2;
     constexpr std::size_t kDoorDepth = 8192;
     constexpr std::size_t kDoorBatch = 256;
@@ -1055,33 +922,6 @@ main(int argc, char **argv)
         "door   threads lanes    p50 us    p99 us     pushes/s\n",
         kDoorSeconds, kDoorDepth);
     std::map<std::string, ContentionResult> door_results;
-    for (std::size_t threads : door_threads) {
-        MutexDoorQueue baseline(1, kDoorDepth, kDoorBatch);
-        std::thread drain([&] {
-            std::vector<runtime::Request> batch;
-            while (baseline.pop(batch))
-                batch.clear();
-        });
-        ContentionResult result = measureDoor(
-            threads, kDoorSeconds,
-            [&](std::size_t, std::uint64_t i) {
-                baseline.push(door_request(i), 0);
-            },
-            [&] { baseline.close(); });
-        drain.join();
-        std::string key = common::format("q_mutex_t%zu_l1", threads);
-        door_results[key] = result;
-        std::cout << common::format(
-            "mutex  %7zu %5d %9.2f %9.2f %12.0f\n", threads, 1,
-            result.p50SubmitUs, result.p99SubmitUs,
-            result.pushesPerSec);
-        json.add("contention/" + key,
-                 {{"threads", static_cast<double>(threads)},
-                  {"lanes", 1.0},
-                  {"p50_submit_us", result.p50SubmitUs},
-                  {"p99_submit_us", result.p99SubmitUs},
-                  {"pushes_per_sec", result.pushesPerSec}});
-    }
     for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
         for (std::size_t threads : door_threads) {
             runtime::QueuePolicy door_policy;
@@ -1135,12 +975,6 @@ main(int argc, char **argv)
         if (contended > 2.0 * base)
             contention_flat = false;
     }
-    double single_thread_ratio =
-        door_results["q_mutex_t1_l1"].pushesPerSec > 0.0
-            ? door_results["q_mpsc_t1_l1"].pushesPerSec /
-                  door_results["q_mutex_t1_l1"].pushesPerSec
-            : 0.0;
-    bool single_thread_ok = single_thread_ratio >= 0.9;
 
     // Sharded sweep: verdict exactness is the bar (count-based, every
     // host); the submit rate is reported for the scaling story.
@@ -1233,15 +1067,8 @@ main(int argc, char **argv)
         }
     }
 
-    bool dispatch_pass = dispatch_speedup > 1.0;
     std::cout << common::format(
-        "\nsmall-batch dispatch: executor %.2fx vs spawn-per-batch — "
-        "%s\n",
-        dispatch_speedup,
-        hardware >= 4 ? (dispatch_pass ? "PASS (> 1x)" : "FAIL (<= 1x)")
-                      : "n/a (host exposes < 4 cores)");
-    std::cout << common::format(
-        "deadline-policy p99 bounded by ~maxDelay: %s\n",
+        "\ndeadline-policy p99 bounded by ~maxDelay: %s\n",
         hardware >= 4 ? (deadline_bounded ? "PASS" : "FAIL")
                       : (deadline_bounded ? "pass (informational)"
                                           : "miss (informational)"));
@@ -1290,18 +1117,10 @@ main(int argc, char **argv)
                                          : "miss (informational)"),
         worst_growth);
     std::cout << common::format(
-        "single-submitter door throughput >= 0.9x mutex baseline: %s "
-        "(%.2fx)\n",
-        hardware >= 4 ? (single_thread_ok ? "PASS" : "FAIL")
-                      : (single_thread_ok ? "pass (informational)"
-                                          : "miss (informational)"),
-        single_thread_ratio);
-    std::cout << common::format(
         "sharded verdicts bit-identical to one plan run: %s\n",
         sharded_exact ? "PASS" : "FAIL");
     json.add("acceptance",
-             {{"dispatch_speedup_p50", dispatch_speedup},
-              {"deadline_p99_bounded", deadline_bounded ? 1.0 : 0.0},
+             {{"deadline_p99_bounded", deadline_bounded ? 1.0 : 0.0},
               {"probe_lane_p99_bounded", probe_bounded ? 1.0 : 0.0},
               {"early_drop_p99_bounded",
                early_drop_bounded ? 1.0 : 0.0},
@@ -1316,9 +1135,6 @@ main(int argc, char **argv)
               {"fault_availability_ok", fault_available ? 1.0 : 0.0},
               {"contention_p99_flat", contention_flat ? 1.0 : 0.0},
               {"contention_p99_worst_growth", worst_growth},
-              {"contention_single_thread_ok",
-               single_thread_ok ? 1.0 : 0.0},
-              {"contention_single_thread_ratio", single_thread_ratio},
               {"contention_sharded_verdicts_exact",
                sharded_exact ? 1.0 : 0.0},
               {"hardware_threads", static_cast<double>(hardware)}});
@@ -1333,13 +1149,12 @@ main(int argc, char **argv)
     if (!sharded_exact)
         return 1;  // sharding must never change a verdict, anywhere.
     // Enforce the timing bars only where the claims are testable: a
-    // sub-4-core host can neither shard a 64-row batch 4 ways nor
-    // absorb bursts while batching (nor contend 8 submitters), so
-    // those verdicts are informational there.
+    // sub-4-core host can neither absorb bursts while batching nor
+    // contend 8 submitters, so those verdicts are informational there.
     return (hardware >= 4 &&
-            (!dispatch_pass || !deadline_bounded || !probe_bounded ||
+            (!deadline_bounded || !probe_bounded ||
              !early_drop_bounded || !swap_p99_bounded ||
-             !swap_saw_both || !contention_flat || !single_thread_ok))
+             !swap_saw_both || !contention_flat))
                ? 1
                : 0;
 }

@@ -36,11 +36,10 @@ enum class KernelTarget
 {
     kScalar = 0,  ///< portable reference (always available).
     kAvx2,        ///< x86-64 AVX2 (256-bit integer SIMD).
-    kNeon,        ///< AArch64 NEON (128-bit integer SIMD).
 };
 
 /** Number of distinct KernelTarget values (table sizing). */
-constexpr std::size_t kNumKernelTargets = 3;
+constexpr std::size_t kNumKernelTargets = 2;
 
 /** Rows processed together by the int32-arithmetic dense kernel: one
  *  256-bit register of int32 lanes. Inputs/outputs are lane-interleaved
@@ -193,6 +192,5 @@ struct KernelOps
  *  by the linker, silently losing its registration. */
 const KernelOps *scalarOps();
 const KernelOps *avx2Ops();
-const KernelOps *neonOps();
 
 }  // namespace homunculus::kernels

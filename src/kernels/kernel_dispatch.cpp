@@ -23,14 +23,6 @@ hostSupports(KernelTarget target)
 #else
         return false;
 #endif
-      case KernelTarget::kNeon:
-        // NEON is baseline on AArch64; 32-bit ARM builds advertise it
-        // via __ARM_NEON at compile time (no runtime probe needed).
-#if defined(__aarch64__) || defined(__ARM_NEON)
-        return true;
-#else
-        return false;
-#endif
     }
     return false;
 }
@@ -43,7 +35,6 @@ rawOps(KernelTarget target)
     switch (target) {
       case KernelTarget::kScalar: return scalarOps();
       case KernelTarget::kAvx2: return avx2Ops();
-      case KernelTarget::kNeon: return neonOps();
     }
     return nullptr;
 }
@@ -108,9 +99,6 @@ bestAvailable()
     if (hostSupports(KernelTarget::kAvx2) &&
         rawOps(KernelTarget::kAvx2) != nullptr)
         return KernelTarget::kAvx2;
-    if (hostSupports(KernelTarget::kNeon) &&
-        rawOps(KernelTarget::kNeon) != nullptr)
-        return KernelTarget::kNeon;
     return KernelTarget::kScalar;
 }
 
@@ -122,7 +110,6 @@ kernelTargetName(KernelTarget target)
     switch (target) {
       case KernelTarget::kScalar: return "scalar";
       case KernelTarget::kAvx2: return "avx2";
-      case KernelTarget::kNeon: return "neon";
     }
     return "?";
 }
@@ -134,10 +121,8 @@ parseKernelTarget(const std::string &name)
         return KernelTarget::kScalar;
     if (name == "avx2")
         return KernelTarget::kAvx2;
-    if (name == "neon")
-        return KernelTarget::kNeon;
     throw std::runtime_error("unknown kernel target '" + name +
-                             "' (valid: scalar, avx2, neon, auto)");
+                             "' (valid: scalar, avx2, auto)");
 }
 
 const KernelOps &
@@ -200,9 +185,7 @@ KernelDispatch::available()
     DispatchState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
     std::vector<KernelTarget> out;
-    for (KernelTarget target :
-         {KernelTarget::kScalar, KernelTarget::kAvx2,
-          KernelTarget::kNeon})
+    for (KernelTarget target : {KernelTarget::kScalar, KernelTarget::kAvx2})
         if (completedLocked(s, target) != nullptr)
             out.push_back(target);
     return out;

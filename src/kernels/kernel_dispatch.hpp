@@ -3,14 +3,14 @@
  * KernelDispatch: runtime CPU-dispatch registry over the kernel TUs.
  *
  * The host is probed once, at first use: the best compiled-in table
- * whose ISA the CPU reports (AVX2 on x86-64, NEON on AArch64, scalar
- * everywhere) becomes the process-wide active table. The probe is
- * overridable without a rebuild:
+ * whose ISA the CPU reports (AVX2 on x86-64, scalar everywhere)
+ * becomes the process-wide active table. The probe is overridable
+ * without a rebuild:
  *
- *   HOMUNCULUS_KERNELS=scalar|avx2|neon|auto   (env, read at first use)
- *   homc --kernel scalar|avx2|neon|auto        (forces via force())
- *   EngineOptions::forceScalarKernels          (per-engine, via
- *                                               ExecutablePlan::forceKernelTarget)
+ *   HOMUNCULUS_KERNELS=scalar|avx2|auto   (env, read at first use)
+ *   homc --kernel scalar|avx2|auto        (forces via force())
+ *   EngineOptions::forceScalarKernels     (per-engine, via
+ *                                          ExecutablePlan::forceKernelTarget)
  *
  * Requesting a target the host can't run (or a bogus env value) is an
  * error, not a silent fallback — benchmarks and differential tests must
@@ -30,7 +30,7 @@
 
 namespace homunculus::kernels {
 
-/** Display name of a target ("scalar", "avx2", "neon"). */
+/** Display name of a target ("scalar", "avx2"). */
 const char *kernelTargetName(KernelTarget target);
 
 /** Parse a target name (case-sensitive, matching the env contract).

@@ -28,7 +28,7 @@
  * the seed), which only the faulted configurations pay.
  *
  * Well-known sites (checked by runtime/ and tools/ code):
- *   engine.run        single-model Server batch execution
+ *   engine.run        every Server batch attempt, once per slice
  *   router.hop        every routed model execution (also checked as
  *                     "router.hop.<model>" to target one model)
  *   queue.flush       batch handoff from the RequestQueue to the batcher

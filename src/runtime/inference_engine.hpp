@@ -113,7 +113,7 @@ class InferenceEngine
   private:
     ir::ExecutablePlan plan_;
     EngineOptions options_;
-    /** "engine.rows"/"engine.batches" {target=scalar|avx2|neon} in the
+    /** "engine.rows"/"engine.batches" {target=scalar|avx2} in the
      *  process-global telemetry registry, resolved once at
      *  construction (stable pointers; engine copies share them). */
     telemetry::Counter *rowsCounter_ = nullptr;

@@ -29,8 +29,6 @@ ModelRegistry::load(const std::string &name, const ir::ModelIr &model,
                     bool activate_if_first,
                     const std::optional<EngineOptions> &engine_options)
 {
-    if (name.empty())
-        throw std::runtime_error("ModelRegistry: model name is empty");
     // Compile outside the lock: plan compilation is the expensive part
     // and must not stall concurrent active() lookups on the serving
     // path.
@@ -40,22 +38,39 @@ ModelRegistry::load(const std::string &name, const ir::ModelIr &model,
     if (model.hasScaler())
         scaler = ml::StandardScaler::fromMoments(model.scalerMeans,
                                                  model.scalerStds);
+    return install(name, std::move(engine), std::move(scaler),
+                   activate_if_first);
+}
+
+std::uint64_t
+ModelRegistry::install(const std::string &name, InferenceEngine engine,
+                       std::optional<ml::StandardScaler> scaler,
+                       bool activate_if_first)
+{
+    if (name.empty())
+        throw std::runtime_error("ModelRegistry: model name is empty");
+    const std::size_t input_dim = engine.plan().inputDim();
+    const int num_classes = engine.plan().numClasses();
+    if (scaler && !scaler->fitted())
+        throw std::runtime_error("ModelRegistry: scaler is not fitted");
+    if (scaler && scaler->means().size() != input_dim)
+        throw std::runtime_error("ModelRegistry: scaler width does not "
+                                 "match the model");
 
     std::lock_guard<std::mutex> lock(mutex_);
     Entry &entry = entries_[name];
     if (entry.nextVersion == 1) {
-        entry.inputDim = model.inputDim;
-        entry.numClasses = model.numClasses;
+        entry.inputDim = input_dim;
+        entry.numClasses = num_classes;
         entry.pins = &metrics_->counter("registry.pins", {{"model", name}});
-    } else if (model.inputDim != entry.inputDim ||
-               model.numClasses != entry.numClasses) {
+    } else if (input_dim != entry.inputDim ||
+               num_classes != entry.numClasses) {
         throw std::runtime_error(common::format(
             "ModelRegistry: '%s' v%llu is not a drop-in replacement "
             "(%zu features / %d classes, expected %zu / %d)",
             name.c_str(),
             static_cast<unsigned long long>(entry.nextVersion),
-            model.inputDim, model.numClasses, entry.inputDim,
-            entry.numClasses));
+            input_dim, num_classes, entry.inputDim, entry.numClasses));
     }
     std::uint64_t version = entry.nextVersion++;
     entry.loaded[version] = std::make_shared<const ModelEpoch>(

@@ -119,6 +119,18 @@ class ModelRegistry
                        const std::optional<EngineOptions>
                            &engine_options = std::nullopt);
 
+    /**
+     * Install an already compiled @p engine (with its optional
+     * training-time @p scaler) under @p name — the one insertion path
+     * load() ends in, with the same versioning and activation rules.
+     * @throws std::runtime_error when the name is empty, the scaler is
+     *         unfitted or its width differs from the engine's input, or
+     *         the engine is not a drop-in for the name.
+     */
+    std::uint64_t install(const std::string &name, InferenceEngine engine,
+                          std::optional<ml::StandardScaler> scaler,
+                          bool activate_if_first = true);
+
     /** load() from a serialized `homunculus-ir` artifact file. */
     std::uint64_t loadFile(const std::string &name,
                            const std::string &path,

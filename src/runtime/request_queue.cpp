@@ -97,18 +97,22 @@ RequestQueue::LaneCounters::bind(telemetry::MetricRegistry &registry,
 }
 
 QueueCounters
-RequestQueue::LaneCounters::snapshot() const
+queueCountersFrom(const telemetry::MetricsSnapshot &snapshot,
+                  std::size_t lane)
 {
+    telemetry::Labels labels{{"lane", std::to_string(lane)}};
     QueueCounters c;
-    c.accepted = accepted->value();
-    c.shed = shed->value();
-    c.blockTimeouts = blockTimeouts->value();
-    c.earlyDropped = earlyDropped->value();
-    c.rejectedClosed = rejectedClosed->value();
-    c.sizeFlushes = sizeFlushes->value();
-    c.deadlineFlushes = deadlineFlushes->value();
-    c.drainFlushes = drainFlushes->value();
-    c.agedFlushes = agedFlushes->value();
+    c.accepted = snapshot.counterValue("queue.accepted", labels);
+    c.shed = snapshot.counterValue("queue.shed", labels);
+    c.blockTimeouts = snapshot.counterValue("queue.block_timeouts", labels);
+    c.earlyDropped = snapshot.counterValue("queue.early_dropped", labels);
+    c.rejectedClosed =
+        snapshot.counterValue("queue.rejected_closed", labels);
+    c.sizeFlushes = snapshot.counterValue("queue.size_flushes", labels);
+    c.deadlineFlushes =
+        snapshot.counterValue("queue.deadline_flushes", labels);
+    c.drainFlushes = snapshot.counterValue("queue.drain_flushes", labels);
+    c.agedFlushes = snapshot.counterValue("queue.aged_flushes", labels);
     return c;
 }
 
@@ -620,9 +624,10 @@ RequestQueue::depth(std::size_t lane) const
 QueueCounters
 RequestQueue::counters() const
 {
+    telemetry::MetricsSnapshot snapshot = metrics_->snapshot();
     QueueCounters total;
-    for (const Lane &lane : lanes_)
-        total += lane.counters.snapshot();
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane)
+        total += queueCountersFrom(snapshot, lane);
     return total;
 }
 
@@ -631,7 +636,7 @@ RequestQueue::counters(std::size_t lane) const
 {
     if (lane >= lanes_.size())
         throw std::out_of_range("RequestQueue: lane out of range");
-    return lanes_[lane].counters.snapshot();
+    return queueCountersFrom(metrics_->snapshot(), lane);
 }
 
 }  // namespace homunculus::runtime

@@ -276,6 +276,11 @@ struct QueueCounters
     }
 };
 
+/** @p lane's counters as recorded in @p snapshot (the "queue.*"
+ *  {lane=N} instruments every RequestQueue binds in its registry). */
+QueueCounters queueCountersFrom(const telemetry::MetricsSnapshot &snapshot,
+                                std::size_t lane);
+
 class RequestQueue
 {
   public:
@@ -333,8 +338,8 @@ class RequestQueue
     /** The queue's per-lane instruments, resolved once at construction
      *  from the telemetry registry ("queue.accepted" {lane=N}, ...);
      *  updates are the same relaxed-atomic adds the old embedded
-     *  counters did, and counters() folds the registry values back
-     *  into the plain QueueCounters view struct. */
+     *  counters did, and counters() reads them back from a registry
+     *  snapshot through queueCountersFrom. */
     struct LaneCounters
     {
         telemetry::Counter *accepted = nullptr;
@@ -349,8 +354,6 @@ class RequestQueue
 
         /** Resolve every counter for @p lane in @p registry. */
         void bind(telemetry::MetricRegistry &registry, std::size_t lane);
-
-        QueueCounters snapshot() const;
     };
 
     /** One producer parked in kBlockWithTimeout mode, queued on the

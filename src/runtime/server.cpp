@@ -26,14 +26,112 @@ submitStatusFor(Admission admission)
     return SubmitStatus::kShed;
 }
 
-/** Nearest-rank percentile over a snapshot entry's reservoir. */
-double
-entryPercentile(const telemetry::MetricsSnapshot::Entry *entry, double p)
+/** p50/p99 and the retained samples of one latency reservoir; all
+ *  left at their zeroed defaults when the snapshot has no such entry
+ *  (a run that observed nothing has an empty reservoir, whose
+ *  percentiles are 0 too). */
+void
+fillLatency(const telemetry::MetricsSnapshot::Entry *entry, double &p50,
+            double &p99, std::vector<double> &samples)
 {
-    return entry != nullptr ? entry->percentile(p * 100.0) : 0.0;
+    if (entry == nullptr)
+        return;
+    p50 = entry->percentile(50.0);
+    p99 = entry->percentile(99.0);
+    samples = entry->samples;
+}
+
+std::size_t
+counterOf(const telemetry::MetricsSnapshot &snapshot, const char *name,
+          const telemetry::Labels &labels = {})
+{
+    return static_cast<std::size_t>(snapshot.counterValue(name, labels));
 }
 
 }  // namespace
+
+ServerStats
+statsFromSnapshot(const telemetry::MetricsSnapshot &snapshot,
+                  std::size_t lanes, const std::vector<std::string> &models)
+{
+    ServerStats stats;
+    stats.rowsServed = counterOf(snapshot, "server.rows_served");
+    stats.batches = counterOf(snapshot, "server.batches");
+    stats.malformedFrames = counterOf(snapshot, "server.malformed_frames");
+    stats.failedBatches = counterOf(snapshot, "server.failed_batches");
+    stats.failedRows = counterOf(snapshot, "server.failed_rows");
+    stats.retriedBatches = counterOf(snapshot, "server.retried_batches");
+    stats.callbackErrors = counterOf(snapshot, "server.callback_errors");
+    stats.deadlineTruncated =
+        counterOf(snapshot, "server.deadline_truncated");
+    stats.fallbackRows = counterOf(snapshot, "server.fallback_rows");
+    stats.meanBatchRows =
+        stats.batches > 0 ? static_cast<double>(stats.rowsServed) /
+                                static_cast<double>(stats.batches)
+                          : 0.0;
+    fillLatency(snapshot.find("server.batch_latency_us"),
+                stats.p50BatchLatencyUs, stats.p99BatchLatencyUs,
+                stats.batchLatencySamplesUs);
+    fillLatency(snapshot.find("server.request_latency_us"),
+                stats.p50RequestLatencyUs, stats.p99RequestLatencyUs,
+                stats.requestLatencySamplesUs);
+
+    stats.lanes.resize(lanes);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+        telemetry::Labels labels{{"lane", std::to_string(lane)}};
+        LaneStats &out = stats.lanes[lane];
+        out.queue = queueCountersFrom(snapshot, lane);
+        stats.queue += out.queue;
+        out.rowsServed =
+            counterOf(snapshot, "server.lane.rows_served", labels);
+        out.rowsFailed =
+            counterOf(snapshot, "server.lane.rows_failed", labels);
+        out.batches = counterOf(snapshot, "server.lane.batches", labels);
+        fillLatency(snapshot.find("server.lane.request_latency_us", labels),
+                    out.p50RequestLatencyUs, out.p99RequestLatencyUs,
+                    out.requestLatencySamplesUs);
+    }
+
+    stats.models.resize(models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        telemetry::Labels labels{{"model", models[m]}};
+        ModelStats &out = stats.models[m];
+        out.name = models[m];
+        out.rowsServed = counterOf(snapshot, "server.model.rows", labels);
+        out.batches = counterOf(snapshot, "server.model.steps", labels);
+        fillLatency(snapshot.find("server.model.step_latency_us", labels),
+                    out.p50StepLatencyUs, out.p99StepLatencyUs,
+                    out.stepLatencySamplesUs);
+        out.breakerOpens =
+            counterOf(snapshot, "router.breaker.opens", labels);
+        out.breakerFallbackRows =
+            counterOf(snapshot, "router.breaker.fallback_rows", labels);
+    }
+    return stats;
+}
+
+std::shared_ptr<ModelRegistry>
+singleModelRegistry(InferenceEngine engine,
+                    std::optional<ml::StandardScaler> scaler,
+                    std::shared_ptr<telemetry::MetricRegistry> metrics)
+{
+    // The deleter co-owns the counters' registry, so it lives as long
+    // as anyone holds the model registry.
+    std::shared_ptr<ModelRegistry> registry(
+        new ModelRegistry(EngineOptions{}, metrics.get()),
+        [metrics](ModelRegistry *doomed) { delete doomed; });
+    registry->install(kSingleModelName, std::move(engine),
+                      std::move(scaler));
+    return registry;
+}
+
+RouteConfig
+singleModelRoute()
+{
+    RouteConfig route;
+    route.defaultModel = kSingleModelName;
+    return route;
+}
 
 QueueConfig
 Server::makeQueueConfig()
@@ -106,44 +204,48 @@ Server::bindInstruments()
         ins.requestLatencyUs =
             &reg.histogram("server.lane.request_latency_us", labels);
     }
-    if (router_) {
-        const std::vector<std::string> &names = router_->models();
-        modelIns_.resize(names.size());
-        spanModelIds_.resize(names.size(), 0);
-        for (std::size_t m = 0; m < names.size(); ++m) {
-            telemetry::Labels labels{{"model", names[m]}};
-            ModelInstruments &ins = modelIns_[m];
-            ins.rows = &reg.counter("server.model.rows", labels);
-            ins.steps = &reg.counter("server.model.steps", labels);
-            ins.stepLatencyUs =
-                &reg.histogram("server.model.step_latency_us", labels);
-            if (config_.trace != nullptr)
-                spanModelIds_[m] = config_.trace->internModel(names[m]);
-        }
+    const std::vector<std::string> &names = router_.models();
+    modelIns_.resize(names.size());
+    spanModelIds_.resize(names.size(), 0);
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        telemetry::Labels labels{{"model", names[m]}};
+        ModelInstruments &ins = modelIns_[m];
+        ins.rows = &reg.counter("server.model.rows", labels);
+        ins.steps = &reg.counter("server.model.steps", labels);
+        ins.stepLatencyUs =
+            &reg.histogram("server.model.step_latency_us", labels);
+        if (config_.trace != nullptr)
+            spanModelIds_[m] = config_.trace->internModel(names[m]);
     }
+}
+
+Server::SingleModel
+Server::singleModel(InferenceEngine engine,
+                    std::optional<ml::StandardScaler> scaler,
+                    ServerConfig config)
+{
+    // The registry's counters belong to this server, so its metric
+    // registry has to exist before the model is installed.
+    if (!config.metrics)
+        config.metrics = std::make_shared<telemetry::MetricRegistry>();
+    std::shared_ptr<ModelRegistry> registry = singleModelRegistry(
+        std::move(engine), std::move(scaler), config.metrics);
+    return {std::move(registry), std::move(config)};
 }
 
 Server::Server(InferenceEngine engine, ServerConfig config,
                VerdictFn on_verdict,
                std::optional<ml::StandardScaler> scaler)
-    : engine_(std::move(engine)), config_(std::move(config)),
-      onVerdict_(std::move(on_verdict)), scaler_(std::move(scaler)),
-      injector_(config_.injector ? config_.injector
-                                 : &faults::FaultInjector::global()),
-      metrics_(config_.metrics
-                   ? config_.metrics
-                   : std::make_shared<telemetry::MetricRegistry>()),
-      queue_(makeQueueConfig()), startedAt_(Clock::now())
+    : Server(singleModel(std::move(engine), std::move(scaler),
+                         std::move(config)),
+             std::move(on_verdict))
 {
-    nextId_.store(config_.ticketBase != 0 ? config_.ticketBase : 1);
-    inputDim_ = engine_->plan().inputDim();
-    if (scaler_ && !scaler_->fitted())
-        throw std::runtime_error("Server: scaler is not fitted");
-    if (scaler_ && scaler_->means().size() != inputDim_)
-        throw std::runtime_error("Server: scaler width does not match "
-                                 "the model");
-    bindInstruments();
-    batcher_ = std::thread([this] { serveLoop(); });
+}
+
+Server::Server(SingleModel single, VerdictFn on_verdict)
+    : Server(std::move(single.registry), singleModelRoute(),
+             std::move(single.config), std::move(on_verdict))
+{
 }
 
 Server::Server(std::shared_ptr<ModelRegistry> registry, RouteConfig route,
@@ -156,14 +258,14 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, RouteConfig route,
       metrics_(config_.metrics
                    ? config_.metrics
                    : std::make_shared<telemetry::MetricRegistry>()),
+      // The Router constructor validates the spec (models loaded,
+      // shared input width, rule labels in range) before any thread
+      // starts. It shares this server's registry so one snapshot
+      // covers all layers.
+      router_(registry_, std::move(route), metrics_.get()),
       queue_(makeQueueConfig()), startedAt_(Clock::now())
 {
-    // The Router constructor validates the spec (models loaded, shared
-    // input width, rule labels in range) before any thread starts. It
-    // shares this server's registry so one snapshot covers all layers.
     nextId_.store(config_.ticketBase != 0 ? config_.ticketBase : 1);
-    router_.emplace(registry_, std::move(route), metrics_.get());
-    inputDim_ = router_->inputDim();
     bindInstruments();
     batcher_ = std::thread([this] { serveLoop(); });
 }
@@ -173,19 +275,20 @@ Server::~Server()
     stop();
 }
 
+const InferenceEngine &
+Server::engine() const
+{
+    const std::string &name = router_.config().defaultModel;
+    return registry_->version(name, registry_->activeVersion(name))->engine;
+}
+
 SubmitResult
 Server::submit(std::vector<double> features, std::size_t lane)
 {
-    if (features.size() != inputDim_)
+    if (features.size() != router_.inputDim())
         throw std::runtime_error(common::format(
             "Server: row has %zu features, model expects %zu",
-            features.size(), inputDim_));
-    if (scaler_) {
-        const std::vector<double> &means = scaler_->means();
-        const std::vector<double> &stds = scaler_->stddevs();
-        for (std::size_t c = 0; c < features.size(); ++c)
-            features[c] = (features[c] - means[c]) / stds[c];
-    }
+            features.size(), router_.inputDim()));
     Request request;
     std::uint64_t id = nextId_.fetch_add(1);
     request.id = id;
@@ -198,19 +301,13 @@ Server::submit(std::vector<double> features, std::size_t lane)
 }
 
 SubmitResult
-Server::submitPacket(const net::RawPacket &packet, std::size_t lane)
-{
-    return submitPacket(net::viewOf(packet), lane);
-}
-
-SubmitResult
 Server::submitPacket(const net::PacketView &packet, std::size_t lane)
 {
-    if (inputDim_ != net::kNumTcFeatures)
+    if (router_.inputDim() != net::kNumTcFeatures)
         throw std::runtime_error(common::format(
             "Server: model expects %zu features but the packet "
             "extractor emits %zu",
-            inputDim_, net::kNumTcFeatures));
+            router_.inputDim(), net::kNumTcFeatures));
     return submit(extractor_.extract(packet), lane);
 }
 
@@ -248,7 +345,7 @@ void
 Server::servedSliceStats(const RequestBatch &batch, std::size_t begin,
                          std::size_t end, Clock::time_point finished,
                          double batch_us,
-                         const std::vector<RouteStepStats> *steps,
+                         const std::vector<RouteStepStats> &steps,
                          const RouteBatchOutcome &outcome)
 {
     LaneInstruments &lane = laneIns_[batch.lane];
@@ -266,13 +363,11 @@ Server::servedSliceStats(const RequestBatch &batch, std::size_t begin,
         ins_.requestLatencyUs->observe(wait_us);
         lane.requestLatencyUs->observe(wait_us);
     }
-    if (steps) {
-        for (const RouteStepStats &step : *steps) {
-            ModelInstruments &model = modelIns_[step.model];
-            model.steps->add();
-            model.rows->add(step.rows);
-            model.stepLatencyUs->observe(step.engineUs);
-        }
+    for (const RouteStepStats &step : steps) {
+        ModelInstruments &model = modelIns_[step.model];
+        model.steps->add();
+        model.rows->add(step.rows);
+        model.stepLatencyUs->observe(step.engineUs);
     }
 }
 
@@ -285,8 +380,7 @@ Server::recordSpans(const RequestBatch &batch, std::size_t begin,
     telemetry::TraceSink *sink = config_.trace;
     if (sink == nullptr)
         return;
-    const std::vector<std::string> *names =
-        router_ ? &router_->models() : nullptr;
+    const std::vector<std::string> &names = router_.models();
     for (std::size_t r = begin; r < end; ++r) {
         const Request &request = batch.requests[r];
         telemetry::RequestSpan span;
@@ -300,15 +394,15 @@ Server::recordSpans(const RequestBatch &batch, std::size_t begin,
         span.latencyUs = std::chrono::duration<double, std::micro>(
                              finished - request.enqueuedAt)
                              .count();
-        if (traces != nullptr && names != nullptr) {
+        if (traces != nullptr) {
             // Hops are slice-relative; resolve each hop's model name
             // back to the id interned at construction.
             const RouteTrace &trace = (*traces)[r - begin];
             for (const RouteHop &hop : trace.hops) {
                 if (span.hopCount >= telemetry::kSpanMaxHops)
                     break;
-                for (std::size_t m = 0; m < names->size(); ++m) {
-                    if ((*names)[m] == hop.model) {
+                for (std::size_t m = 0; m < names.size(); ++m) {
+                    if (names[m] == hop.model) {
                         span.hops[span.hopCount++] = spanModelIds_[m];
                         break;
                     }
@@ -349,12 +443,11 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
         return;
     std::vector<Request> &requests = batch.requests;
     const std::size_t rows = end - begin;
-    const std::size_t dim = inputDim_;
+    const std::size_t dim = router_.inputDim();
     RouteBatchOutcome outcome;
-    // Routed hop traces are collected for the user's trace callback
-    // and/or the span sink (spans record the hop ids per request).
-    const bool collect_traces =
-        router_ && (onTrace_ || config_.trace != nullptr);
+    // Hop traces are collected for the user's trace callback and/or the
+    // span sink (spans record the hop ids per request).
+    const bool collect_traces = onTrace_ || config_.trace != nullptr;
 
     auto started = Clock::now();
     try {
@@ -371,30 +464,18 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
                 if (!std::isfinite(requests[r].features[c]))
                     throw std::runtime_error(
                         "serve: non-finite feature in admitted row");
-        if (router_) {
-            // Pin the active epoch of every routed model *once*: the
-            // whole slice — every chained hop included — executes
-            // against this snapshot, so a concurrent swap() only moves
-            // the next batch (a bisect-retried half re-pins, like any
-            // new batch).
-            Router::Snapshot snapshot = router_->snapshot();
-            outcome = router_->runBatch(
-                snapshot, batch.lane, requests.data() + begin, rows,
-                buffers.labels,
-                collect_traces ? &buffers.traces : nullptr,
-                buffers.steps, buffers.scratch, injector_);
-        } else {
-            buffers.features.resizeRows(rows);
-            for (std::size_t r = 0; r < rows; ++r) {
-                double *row = buffers.features.rowPtr(r);
-                for (std::size_t c = 0; c < dim; ++c)
-                    row[c] = requests[begin + r].features[c];
-            }
-            injector_->maybe(faults::kSiteEngineRun);
-            buffers.labels.resize(rows);
-            engine_->run(buffers.features, buffers.labels.data(),
-                         buffers.engineScratch);
-        }
+        // The batch-execution site fires once per slice attempt;
+        // router.hop then fires per model execution inside.
+        injector_->maybe(faults::kSiteEngineRun);
+        // Pin the active epoch of every routed model *once*: the whole
+        // slice — every chained hop included — executes against this
+        // snapshot, so a concurrent swap() only moves the next batch (a
+        // bisect-retried half re-pins, like any new batch).
+        Router::Snapshot snapshot = router_.snapshot();
+        outcome = router_.runBatch(
+            snapshot, batch.lane, requests.data() + begin, rows,
+            buffers.labels, collect_traces ? &buffers.traces : nullptr,
+            buffers.steps, buffers.scratch, injector_);
     } catch (const std::exception &e) {
         if (rows > 1 && depth < config_.retryDepth) {
             // Bisect-retry: split the slice and run the halves
@@ -414,11 +495,6 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
         std::chrono::duration<double, std::micro>(finished - started)
             .count();
 
-    servedSliceStats(batch, begin, end, finished, batch_us,
-                     router_ ? &buffers.steps : nullptr, outcome);
-    recordSpans(batch, begin, end, finished, depth,
-                telemetry::SpanOutcome::kServed,
-                collect_traces ? &buffers.traces : nullptr);
     // Callback delivery: each invocation individually guarded, so one
     // throwing callback costs its own notification, never the
     // batcher thread or the rest of the batch.
@@ -442,22 +518,22 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
             }
         }
     }
+    // Bookkeeping after delivery, off the verdict's critical path; it
+    // records the same values either way (latencies end at finished).
+    servedSliceStats(batch, begin, end, finished, batch_us,
+                     buffers.steps, outcome);
+    recordSpans(batch, begin, end, finished, depth,
+                telemetry::SpanOutcome::kServed,
+                collect_traces ? &buffers.traces : nullptr);
 }
 
 void
 Server::serveLoop()
 {
-    // One buffer set sized for the largest lane's batch; deadline
-    // flushes release continuously varying batch sizes, and resizeRows
-    // keeps the capacity, so the hot loop never reallocates after the
-    // first full batch. (The routed path keeps its own equivalent
-    // buffers in the router Scratch.)
-    std::size_t max_batch = 1;
-    for (std::size_t lane = 0; lane < queue_.lanes(); ++lane)
-        max_batch = std::max(max_batch, queue_.policy(lane).maxBatch);
+    // One buffer set for every batch: the router scratch and the label
+    // and step vectors keep their capacity across batches, so the hot
+    // loop stops allocating once the largest batch has been seen.
     ServeBuffers buffers;
-    buffers.features = math::Matrix(max_batch, inputDim_);
-    buffers.labels.reserve(max_batch);
 
     // The supervisor: every popped batch executes inside runSlice's
     // try/catch, so nothing a batch does — engine throw, router throw,
@@ -479,97 +555,15 @@ Server::stop()
 
     // Materialize the public view from one registry snapshot — the
     // batcher has joined, so the snapshot is the run's final word.
-    telemetry::MetricsSnapshot snap = metrics_->snapshot();
-    ServerStats stats;
-    stats.queue = queue_.counters();
-    stats.malformedFrames = static_cast<std::size_t>(
-        snap.counterValue("server.malformed_frames"));
-    stats.callbackErrors = static_cast<std::size_t>(
-        snap.counterValue("server.callback_errors"));
+    const std::vector<std::string> &names = router_.models();
+    ServerStats stats =
+        statsFromSnapshot(metrics_->snapshot(), queue_.lanes(), names);
     stats.wallSeconds =
         std::chrono::duration<double>(Clock::now() - startedAt_).count();
-    stats.rowsServed = static_cast<std::size_t>(
-        snap.counterValue("server.rows_served"));
-    stats.batches =
-        static_cast<std::size_t>(snap.counterValue("server.batches"));
-    stats.failedBatches = static_cast<std::size_t>(
-        snap.counterValue("server.failed_batches"));
-    stats.failedRows = static_cast<std::size_t>(
-        snap.counterValue("server.failed_rows"));
-    stats.retriedBatches = static_cast<std::size_t>(
-        snap.counterValue("server.retried_batches"));
-    stats.deadlineTruncated = static_cast<std::size_t>(
-        snap.counterValue("server.deadline_truncated"));
-    stats.fallbackRows = static_cast<std::size_t>(
-        snap.counterValue("server.fallback_rows"));
-    stats.meanBatchRows =
-        stats.batches > 0 ? static_cast<double>(stats.rowsServed) /
-                                static_cast<double>(stats.batches)
-                          : 0.0;
-    // A run that served nothing keeps every percentile at its zeroed
-    // default instead of consulting empty reservoirs.
-    const telemetry::MetricsSnapshot::Entry *batch_lat =
-        snap.find("server.batch_latency_us");
-    const telemetry::MetricsSnapshot::Entry *request_lat =
-        snap.find("server.request_latency_us");
-    if (stats.batches > 0) {
-        stats.p50BatchLatencyUs = entryPercentile(batch_lat, 0.50);
-        stats.p99BatchLatencyUs = entryPercentile(batch_lat, 0.99);
-    }
-    if (stats.rowsServed > 0) {
-        stats.p50RequestLatencyUs = entryPercentile(request_lat, 0.50);
-        stats.p99RequestLatencyUs = entryPercentile(request_lat, 0.99);
-    }
-    if (batch_lat != nullptr)
-        stats.batchLatencySamplesUs = batch_lat->samples;
-    if (request_lat != nullptr)
-        stats.requestLatencySamplesUs = request_lat->samples;
-
-    stats.lanes.resize(queue_.lanes());
-    for (std::size_t lane = 0; lane < queue_.lanes(); ++lane) {
-        telemetry::Labels labels{{"lane", std::to_string(lane)}};
-        LaneStats &out = stats.lanes[lane];
-        out.queue = queue_.counters(lane);
-        out.rowsServed = static_cast<std::size_t>(
-            snap.counterValue("server.lane.rows_served", labels));
-        out.rowsFailed = static_cast<std::size_t>(
-            snap.counterValue("server.lane.rows_failed", labels));
-        out.batches = static_cast<std::size_t>(
-            snap.counterValue("server.lane.batches", labels));
-        const telemetry::MetricsSnapshot::Entry *lane_lat =
-            snap.find("server.lane.request_latency_us", labels);
-        if (out.rowsServed > 0) {
-            out.p50RequestLatencyUs = entryPercentile(lane_lat, 0.50);
-            out.p99RequestLatencyUs = entryPercentile(lane_lat, 0.99);
-        }
-        if (lane_lat != nullptr)
-            out.requestLatencySamplesUs = lane_lat->samples;
-    }
-    if (router_) {
-        const std::vector<std::string> &names = router_->models();
-        stats.models.resize(names.size());
-        for (std::size_t m = 0; m < names.size(); ++m) {
-            telemetry::Labels labels{{"model", names[m]}};
-            ModelStats &out = stats.models[m];
-            out.name = names[m];
-            out.activeVersion = registry_->activeVersion(names[m]);
-            out.rowsServed = static_cast<std::size_t>(
-                snap.counterValue("server.model.rows", labels));
-            out.batches = static_cast<std::size_t>(
-                snap.counterValue("server.model.steps", labels));
-            const telemetry::MetricsSnapshot::Entry *step_lat =
-                snap.find("server.model.step_latency_us", labels);
-            if (out.batches > 0) {
-                out.p50StepLatencyUs = entryPercentile(step_lat, 0.50);
-                out.p99StepLatencyUs = entryPercentile(step_lat, 0.99);
-            }
-            if (step_lat != nullptr)
-                out.stepLatencySamplesUs = step_lat->samples;
-            BreakerSnapshot breaker = router_->breaker(m);
-            out.breakerState = breakerStateName(breaker.state);
-            out.breakerOpens = breaker.opens;
-            out.breakerFallbackRows = breaker.fallbackRows;
-        }
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        stats.models[m].activeVersion = registry_->activeVersion(names[m]);
+        stats.models[m].breakerState =
+            breakerStateName(router_.breaker(m).state);
     }
     finalStats_ = stats;
     stopped_ = true;

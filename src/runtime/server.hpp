@@ -9,23 +9,25 @@
  * thread — into one of N priority lanes — and get a typed SubmitResult
  * back immediately (except in kBlockWithTimeout mode, where a submit to
  * a full lane blocks the calling thread up to blockTimeoutUs waiting
- * for space); a dedicated batcher thread drains a multi-lane RequestQueue (per-lane
- * size-or-deadline flush, strict priority among ready lanes, shed /
- * block-with-timeout / early-drop backpressure — see
- * request_queue.hpp), runs each released batch through the
- * InferenceEngine (which shards it on the shared persistent
- * runtime::Executor), and delivers verdicts through a callback. So the
- * full pipeline is: per-lane admission -> per-lane batching policy ->
- * one long-lived worker pool — no thread is created per request, per
- * batch, or per dispatch after warm-up.
+ * for space); a dedicated batcher thread drains a multi-lane
+ * RequestQueue (per-lane size-or-deadline flush, strict priority among
+ * ready lanes, shed / block-with-timeout / early-drop backpressure —
+ * see request_queue.hpp), runs each released batch through the Router
+ * over a ModelRegistry (each model execution shards on the shared
+ * persistent runtime::Executor), and delivers verdicts through a
+ * callback. So the full pipeline is: per-lane admission -> per-lane
+ * batching policy -> one long-lived worker pool — no thread is created
+ * per request, per batch, or per dispatch after warm-up.
  *
- * Producer-side work stays on the producer: submitFrame() parses,
- * extracts, and standardizes on the calling thread, so the batcher
- * thread spends its time in the engine. Verdicts are bit-identical to running the same rows through
- * ExecutablePlan in one call — batching never changes labels. (In
- * kEarlyDrop mode an admitted row can still be dropped at flush time
- * if it aged past its lane's budget; dropped rows get no verdict and
- * are counted per lane.)
+ * There is one form: the single-model constructor is shorthand for a
+ * one-model registry (kSingleModelName) behind the default route.
+ * submitFrame() parses and extracts on the calling thread; rows are
+ * admitted raw, and standardization runs on the batcher from each
+ * pinned epoch's scaler. Verdicts are bit-identical to running the
+ * same rows through ExecutablePlan in one call — batching never
+ * changes labels. (In kEarlyDrop mode an admitted row can still be
+ * dropped at flush time if it aged past its lane's budget; dropped
+ * rows get no verdict and are counted per lane.)
  *
  * stop() closes admissions, drains every admitted row (final partial
  * batches included), joins the batcher, and returns the run's
@@ -171,8 +173,8 @@ struct LaneStats
     std::vector<double> requestLatencySamplesUs;
 };
 
-/** Per-model slice of a routed serving run (valid after stop();
- *  empty for single-model servers). */
+/** Per-model slice of a serving run (valid after stop(); one entry
+ *  per routed model, kSingleModelName for the single-model form). */
 struct ModelStats
 {
     std::string name;
@@ -182,7 +184,7 @@ struct ModelStats
     std::size_t batches = 0;          ///< model executions (DAG steps).
     double p50StepLatencyUs = 0.0;    ///< engine time per execution.
     double p99StepLatencyUs = 0.0;
-    /** Step-latency reservoir snapshot (µs), for cross-shard merging. */
+    /** Step-latency reservoir snapshot (µs). */
     std::vector<double> stepLatencySamplesUs;
     /** Circuit-breaker slice at stop() time (all-zero / "closed" when
      *  breakers are disabled). */
@@ -219,20 +221,46 @@ struct ServerStats
     std::size_t failedRows = 0;      ///< requests failed (not served).
     std::size_t retriedBatches = 0;  ///< bisect splits performed.
     std::size_t callbackErrors = 0;  ///< throwing user callbacks caught.
-    std::size_t deadlineTruncated = 0;  ///< chain hops skipped (routed).
-    std::size_t fallbackRows = 0;    ///< breaker-fallback rows (routed).
-    /**
-     * Latency reservoir snapshots (µs) the percentiles were computed
-     * from. ShardedServer::stop() concatenates them across shards and
-     * recomputes — exact whenever no shard overflowed its 64k
-     * reservoir (the common case), a shard-sample-weighted estimate
-     * beyond that.
-     */
+    std::size_t deadlineTruncated = 0;  ///< chain hops skipped.
+    std::size_t fallbackRows = 0;    ///< breaker-fallback rows.
+    /** Latency reservoir snapshots (µs) the percentiles were computed
+     *  from (concatenated across shards for a ShardedServer). */
     std::vector<double> batchLatencySamplesUs;
     std::vector<double> requestLatencySamplesUs;
     std::vector<LaneStats> lanes;      ///< one entry per lane.
-    std::vector<ModelStats> models;    ///< routed servers only.
+    std::vector<ModelStats> models;    ///< one entry per routed model.
 };
+
+/**
+ * The ServerStats view of @p snapshot — one server's registry, or
+ * several merged with MetricsSnapshot::merge — for @p lanes lanes
+ * routing @p models. Every counter, percentile and sample vector comes
+ * from the snapshot. What no snapshot holds is left for the caller:
+ * wallSeconds and each model's activeVersion and breakerState.
+ */
+ServerStats statsFromSnapshot(const telemetry::MetricsSnapshot &snapshot,
+                              std::size_t lanes,
+                              const std::vector<std::string> &models);
+
+/** The model name the single-model forms (Server, ShardedServer)
+ *  install their engine under, and route every lane to. */
+inline constexpr const char *kSingleModelName = "default";
+
+/**
+ * A registry holding @p engine (and its training-time @p scaler) as
+ * kSingleModelName v1 — what the single-model forms serve through.
+ * Its control-plane counters land in @p metrics (nullptr = the
+ * process-global registry).
+ * @throws std::runtime_error for an unfitted or mismatched scaler.
+ */
+std::shared_ptr<ModelRegistry>
+singleModelRegistry(InferenceEngine engine,
+                    std::optional<ml::StandardScaler> scaler,
+                    std::shared_ptr<telemetry::MetricRegistry> metrics =
+                        nullptr);
+
+/** A route sending every lane to kSingleModelName. */
+RouteConfig singleModelRoute();
 
 class Server
 {
@@ -243,21 +271,24 @@ class Server
     using VerdictFn =
         std::function<void(const Request &request, int verdict)>;
 
-    /** Routed servers only: the full hop-by-hop execution record of a
-     *  request (which models, which pinned versions, which labels),
-     *  delivered with the verdict on the batcher thread. */
+    /** The full hop-by-hop execution record of a request (which
+     *  models, which pinned versions, which labels), delivered with the
+     *  verdict on the batcher thread. */
     using RouteTraceFn =
         std::function<void(const Request &request,
                            const RouteTrace &trace)>;
 
     /**
-     * Starts the batcher thread.
+     * Single-model server: shorthand for the routed form over
+     * singleModelRegistry(@p engine, @p scaler) and singleModelRoute(),
+     * with the registry's counters in this server's metrics().
      * @param engine compiled model + execution policy (jobs, pool)
      * @param config lane policies + backpressure mode
      * @param on_verdict optional verdict sink
      * @param scaler optional fitted feature scaler applied to every
-     *        submitted row (the training-time one; see ModelIr scaler
-     *        provenance); nullopt serves raw features
+     *        admitted row on the batcher (the training-time one; see
+     *        ModelIr scaler provenance); nullopt serves raw features
+     * @throws std::runtime_error for an unfitted or mismatched scaler.
      */
     explicit Server(InferenceEngine engine, ServerConfig config = {},
                     VerdictFn on_verdict = {},
@@ -265,17 +296,13 @@ class Server
                         std::nullopt);
 
     /**
-     * Routed (multi-model) server: the batcher thread executes the
-     * router's schedule-DAG per batch — lane bindings pick the entry
-     * model, chain rules move rows between models — against epochs
-     * pinned from @p registry once per batch, so a concurrent
-     * registry.swap() never mixes plan versions inside a batch.
-     *
-     * Submission differences from the single-model form: submit()
-     * stores *raw* features (each hop standardizes with its own
-     * epoch's artifact scaler inside the router — one shared producer
-     * side scaler can't serve models with different training moments),
-     * and every routed model must consume one shared input width.
+     * Starts the batcher thread, which executes the router's
+     * schedule-DAG per batch — lane bindings pick the entry model,
+     * chain rules move rows between models — against epochs pinned from
+     * @p registry once per batch, so a concurrent registry.swap() never
+     * mixes plan versions inside a batch. submit() stores raw features
+     * (each hop standardizes with its own epoch's artifact scaler), and
+     * every routed model must consume one shared input width.
      */
     Server(std::shared_ptr<ModelRegistry> registry, RouteConfig route,
            ServerConfig config = {}, VerdictFn on_verdict = {},
@@ -287,8 +314,7 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Admit one feature row (extractor-domain values; the scaler, when
-     * bound, is applied here on the calling thread) into @p lane.
+     * Admit one feature row (raw extractor-domain values) into @p lane.
      * Throws std::out_of_range for an unknown lane and
      * std::runtime_error for a row of the wrong width.
      */
@@ -297,14 +323,10 @@ class Server
 
     /** Parse a wire frame and admit it. A malformed frame is counted,
      *  assigned a ticket, reported through onFailure under that
-     *  ticket, and returned as kMalformed. The engine's model must
+     *  ticket, and returned as kMalformed. The routed models must
      *  consume the packet extractor's schema. */
     SubmitResult submitFrame(const std::vector<std::uint8_t> &frame,
                              std::size_t lane = 0);
-
-    /** Extract + admit an already-parsed packet. */
-    SubmitResult submitPacket(const net::RawPacket &packet,
-                              std::size_t lane = 0);
 
     /** Extract + admit a parsed frame whose payload stays in the
      *  caller's buffer (read only during the call). */
@@ -324,14 +346,11 @@ class Server
     }
     std::size_t lanes() const { return queue_.lanes(); }
 
-    /** Single-model servers only (routed servers have no single
-     *  engine — ask the registry). */
-    const InferenceEngine &engine() const { return *engine_; }
-    /** Routed servers only; nullptr for the single-model form. */
-    const Router *router() const
-    {
-        return router_ ? &*router_ : nullptr;
-    }
+    /** The default model's active engine — for the single-model form,
+     *  the engine it was built with. Valid while that version stays
+     *  loaded in registry(). */
+    const InferenceEngine &engine() const;
+    const Router &router() const { return router_; }
     const std::shared_ptr<ModelRegistry> &registry() const
     {
         return registry_;
@@ -350,13 +369,23 @@ class Server
     }
 
   private:
+    /** The single-model form's registry and config, built together so
+     *  the registry's counters land in the config's metrics. */
+    struct SingleModel
+    {
+        std::shared_ptr<ModelRegistry> registry;
+        ServerConfig config;
+    };
+    static SingleModel singleModel(InferenceEngine engine,
+                                   std::optional<ml::StandardScaler> scaler,
+                                   ServerConfig config);
+    Server(SingleModel single, VerdictFn on_verdict);
+
     /** The batcher loop's reusable buffers, threaded through the slice
      *  recursion so a bisect-retry allocates nothing new. */
     struct ServeBuffers
     {
-        math::Matrix features;
         std::vector<int> labels;
-        ir::ExecutablePlan::Scratch engineScratch;  ///< single-model.
         Router::Scratch scratch;
         std::vector<RouteTrace> traces;
         std::vector<RouteStepStats> steps;
@@ -364,10 +393,10 @@ class Server
 
     void serveLoop();
     /**
-     * Execute requests [begin, end) of @p batch as one engine batch,
+     * Execute requests [begin, end) of @p batch as one router batch,
      * supervised: a throw bisects (while depth < retryDepth and the
-     * slice splits) or fails the slice. Success records stats and
-     * delivers guarded callbacks.
+     * slice splits) or fails the slice. Success delivers guarded
+     * callbacks, then records stats.
      */
     void runSlice(RequestBatch &batch, std::size_t begin,
                   std::size_t end, std::size_t depth,
@@ -377,17 +406,17 @@ class Server
     void failSlice(const RequestBatch &batch, std::size_t begin,
                    std::size_t end, std::size_t depth,
                    const std::string &error);
-    /** Record one served slice into the registry instruments (lane +
-     *  aggregate; @p steps adds per-model instruments when routed). */
+    /** Record one served slice into the registry instruments (lane,
+     *  aggregate, and per model from @p steps). */
     void servedSliceStats(const RequestBatch &batch, std::size_t begin,
                           std::size_t end,
                           std::chrono::steady_clock::time_point finished,
                           double batch_us,
-                          const std::vector<RouteStepStats> *steps,
+                          const std::vector<RouteStepStats> &steps,
                           const RouteBatchOutcome &outcome);
     /** Record one span per request of [begin, end) into the trace
-     *  sink (no-op when no sink is bound). @p traces supplies routed
-     *  hop records, index-aligned with the slice rows. */
+     *  sink (no-op when no sink is bound). @p traces supplies the hop
+     *  records, index-aligned with the slice rows (nullptr: none). */
     void recordSpans(const RequestBatch &batch, std::size_t begin,
                      std::size_t end,
                      std::chrono::steady_clock::time_point finished,
@@ -400,23 +429,18 @@ class Server
      *  callback guard (and span recording when a sink is bound). */
     QueueConfig makeQueueConfig();
 
-    /** The one model (single-model form) or nothing (routed form —
-     *  plans live in registry_ and are pinned per batch). */
-    std::optional<InferenceEngine> engine_;
-    std::shared_ptr<ModelRegistry> registry_;  ///< routed form only.
-    std::optional<Router> router_;             ///< routed form only.
-    std::size_t inputDim_ = 0;  ///< submit-side width check.
+    std::shared_ptr<ModelRegistry> registry_;
     ServerConfig config_;
     VerdictFn onVerdict_;
     RouteTraceFn onTrace_;
-    std::optional<ml::StandardScaler> scaler_;
     net::FeatureExtractor extractor_;
     /** Fault-injection hook point (never null after construction). */
     faults::FaultInjector *injector_ = nullptr;
     /** The registry behind every stat of this server (the config's or
-     *  a private one). Declared before queue_ so makeQueueConfig() can
-     *  hand it to the queue's lane counters. */
+     *  a private one). Declared before router_ and queue_, which bind
+     *  their instruments in it. */
     std::shared_ptr<telemetry::MetricRegistry> metrics_;
+    Router router_;
     RequestQueue queue_;
     std::thread batcher_;
     std::atomic<std::uint64_t> nextId_{1};
@@ -454,8 +478,8 @@ class Server
         telemetry::Histogram *requestLatencyUs = nullptr;
     };
 
-    /** Per-model instruments of a routed run ("server.model.*"
-     *  {model=name}), index-aligned with router_->models(). */
+    /** Per-model instruments ("server.model.*" {model=name}),
+     *  index-aligned with router_.models(). */
     struct ModelInstruments
     {
         telemetry::Counter *rows = nullptr;
@@ -466,7 +490,7 @@ class Server
     Instruments ins_;
     std::vector<LaneInstruments> laneIns_;
     std::vector<ModelInstruments> modelIns_;
-    /** Span ids of router_->models(), interned into config_.trace at
+    /** Span ids of router_.models(), interned into config_.trace at
      *  construction so hop recording is an array write. */
     std::vector<std::uint16_t> spanModelIds_;
 

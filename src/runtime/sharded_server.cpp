@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "math/stats.hpp"
 #include "net/packet.hpp"
 
 namespace homunculus::runtime {
@@ -20,18 +19,6 @@ splitmix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
     return x ^ (x >> 31);
-}
-
-/** Percentiles from a merged sample set, zero when it is empty (the
- *  same "served nothing" convention Server::stop() uses). */
-void
-fillPercentiles(const std::vector<double> &samples, double &p50,
-                double &p99)
-{
-    if (samples.empty())
-        return;
-    p50 = math::percentileNearestRank(samples, 0.50);
-    p99 = math::percentileNearestRank(samples, 0.99);
 }
 
 /** The per-shard ServerConfig: identical knobs, disjoint ticket
@@ -80,14 +67,10 @@ ShardedServer::ShardedServer(const InferenceEngine &engine,
                              ShardedServerConfig config,
                              Server::VerdictFn on_verdict,
                              std::optional<ml::StandardScaler> scaler)
+    : ShardedServer(singleModelRegistry(engine, std::move(scaler)),
+                    singleModelRoute(), std::move(config),
+                    std::move(on_verdict))
 {
-    std::size_t shard_count = std::max<std::size_t>(config.shards, 1);
-    servers_.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s)
-        servers_.push_back(std::make_unique<Server>(
-            engine, shardConfig(config.server, s), on_verdict, scaler));
-    buildRing(shard_count, config.virtualNodes);
-    initFrontDoor(config.server);
 }
 
 ShardedServer::ShardedServer(std::shared_ptr<ModelRegistry> registry,
@@ -103,19 +86,16 @@ ShardedServer::ShardedServer(std::shared_ptr<ModelRegistry> registry,
             registry, route, shardConfig(config.server, s), on_verdict,
             on_trace));
     buildRing(shard_count, config.virtualNodes);
-    initFrontDoor(config.server);
-}
 
-void
-ShardedServer::initFrontDoor(const ServerConfig &base)
-{
+    // The front door: its own instruments and a ticket namespace past
+    // every shard's.
     frontMalformed_ = &frontMetrics_.counter("server.malformed_frames");
     frontCallbackErrors_ =
         &frontMetrics_.counter("server.callback_errors");
+    const ServerConfig &base = config.server;
     std::uint64_t low = base.ticketBase != 0 ? base.ticketBase : 1;
     frontNextId_.store(
-        (static_cast<std::uint64_t>(servers_.size())
-         << kShardTicketShift) +
+        (static_cast<std::uint64_t>(shard_count) << kShardTicketShift) +
         low);
     onFailure_ = base.onFailure;
 }
@@ -161,14 +141,6 @@ ShardedServer::submit(std::uint64_t flow_key,
 {
     return servers_[shardFor(flow_key)]->submit(std::move(features),
                                                 lane);
-}
-
-SubmitResult
-ShardedServer::submitPacket(const net::RawPacket &packet,
-                            std::size_t lane)
-{
-    return servers_[shardFor(flowKey(packet))]->submitPacket(packet,
-                                                             lane);
 }
 
 SubmitResult
@@ -238,98 +210,27 @@ ShardedServer::stop()
     for (auto &server : servers_)
         shardStats_.push_back(server->stop());
 
-    ServerStats merged;
-    for (const ServerStats &s : shardStats_) {
-        merged.queue += s.queue;
-        merged.rowsServed += s.rowsServed;
-        merged.batches += s.batches;
-        merged.malformedFrames += s.malformedFrames;
-        merged.failedBatches += s.failedBatches;
-        merged.failedRows += s.failedRows;
-        merged.retriedBatches += s.retriedBatches;
-        merged.callbackErrors += s.callbackErrors;
-        merged.deadlineTruncated += s.deadlineTruncated;
-        merged.fallbackRows += s.fallbackRows;
-        // Shards ran concurrently; the run's wall time is the longest
-        // shard's, not the sum.
+    // One merge, the same one metricsSnapshot() does minus the shard
+    // labels: the front door's counters (malformed frames, their
+    // callback errors) and every shard's fold into one view.
+    telemetry::MetricsSnapshot snapshot = frontMetrics_.snapshot();
+    for (const auto &server : servers_)
+        snapshot.merge(server->metrics().snapshot());
+    const Server &first = *servers_.front();
+    ServerStats merged = statsFromSnapshot(snapshot, first.lanes(),
+                                           first.router().models());
+    // Shards ran concurrently; the run's wall time is the longest
+    // shard's, not the sum.
+    for (const ServerStats &s : shardStats_)
         merged.wallSeconds = std::max(merged.wallSeconds, s.wallSeconds);
-        merged.batchLatencySamplesUs.insert(
-            merged.batchLatencySamplesUs.end(),
-            s.batchLatencySamplesUs.begin(),
-            s.batchLatencySamplesUs.end());
-        merged.requestLatencySamplesUs.insert(
-            merged.requestLatencySamplesUs.end(),
-            s.requestLatencySamplesUs.begin(),
-            s.requestLatencySamplesUs.end());
-    }
-    merged.malformedFrames +=
-        static_cast<std::size_t>(frontMalformed_->value());
-    merged.callbackErrors +=
-        static_cast<std::size_t>(frontCallbackErrors_->value());
-    merged.meanBatchRows =
-        merged.batches > 0 ? static_cast<double>(merged.rowsServed) /
-                                 static_cast<double>(merged.batches)
-                           : 0.0;
-    fillPercentiles(merged.batchLatencySamplesUs,
-                    merged.p50BatchLatencyUs, merged.p99BatchLatencyUs);
-    fillPercentiles(merged.requestLatencySamplesUs,
-                    merged.p50RequestLatencyUs,
-                    merged.p99RequestLatencyUs);
-
-    // Lane slices: every shard has the same lane layout (one shared
-    // ServerConfig), so merge index-wise.
-    std::size_t lane_count =
-        shardStats_.empty() ? 0 : shardStats_[0].lanes.size();
-    merged.lanes.resize(lane_count);
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
-        LaneStats &out = merged.lanes[lane];
-        for (const ServerStats &s : shardStats_) {
-            if (lane >= s.lanes.size())
-                continue;
-            const LaneStats &in = s.lanes[lane];
-            out.queue += in.queue;
-            out.rowsServed += in.rowsServed;
-            out.rowsFailed += in.rowsFailed;
-            out.batches += in.batches;
-            out.requestLatencySamplesUs.insert(
-                out.requestLatencySamplesUs.end(),
-                in.requestLatencySamplesUs.begin(),
-                in.requestLatencySamplesUs.end());
-        }
-        fillPercentiles(out.requestLatencySamplesUs,
-                        out.p50RequestLatencyUs,
-                        out.p99RequestLatencyUs);
-    }
-
-    // Model slices (routed form): same route on every shard, so the
-    // model list is index-aligned across shards too.
-    std::size_t model_count =
-        shardStats_.empty() ? 0 : shardStats_[0].models.size();
-    merged.models.resize(model_count);
-    for (std::size_t m = 0; m < model_count; ++m) {
+    for (std::size_t m = 0; m < merged.models.size(); ++m) {
         ModelStats &out = merged.models[m];
-        out.name = shardStats_[0].models[m].name;
-        out.activeVersion = shardStats_[0].models[m].activeVersion;
-        for (const ServerStats &s : shardStats_) {
-            if (m >= s.models.size())
-                continue;
-            const ModelStats &in = s.models[m];
-            out.rowsServed += in.rowsServed;
-            out.batches += in.batches;
-            out.breakerOpens += in.breakerOpens;
-            out.breakerFallbackRows += in.breakerFallbackRows;
-            // "closed" everywhere merges to closed; any tripped shard
-            // surfaces its state (first one wins — enough to flag it).
-            if (out.breakerState == "closed" &&
-                in.breakerState != "closed")
-                out.breakerState = in.breakerState;
-            out.stepLatencySamplesUs.insert(
-                out.stepLatencySamplesUs.end(),
-                in.stepLatencySamplesUs.begin(),
-                in.stepLatencySamplesUs.end());
-        }
-        fillPercentiles(out.stepLatencySamplesUs, out.p50StepLatencyUs,
-                        out.p99StepLatencyUs);
+        out.activeVersion = shardStats_.front().models[m].activeVersion;
+        // "closed" everywhere merges to closed; any tripped shard
+        // surfaces its state (first one wins — enough to flag it).
+        for (const ServerStats &s : shardStats_)
+            if (out.breakerState == "closed")
+                out.breakerState = s.models[m].breakerState;
     }
 
     mergedStats_ = merged;

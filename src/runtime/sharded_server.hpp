@@ -8,9 +8,10 @@
  * north-star (millions of flows on >16-core boxes) wants the data
  * plane to scale *out*, not just contend less. The scale-out unit here
  * is the whole serving pipeline: each shard owns a private
- * RequestQueue, batcher thread, and engine, so shards share nothing on
- * the hot path (the well-known shared-nothing receive-side-scaling
- * shape: RSS hashes flows to rings, we hash flows to shards).
+ * RequestQueue, batcher thread, and router, so shards share nothing on
+ * the hot path but immutable pinned epochs (the well-known
+ * shared-nothing receive-side-scaling shape: RSS hashes flows to
+ * rings, we hash flows to shards).
  *
  * Flow affinity: submissions carry a 64-bit flow key (for packets, the
  * 5-tuple via flowKey()). A consistent-hash ring — virtualNodes points
@@ -27,10 +28,11 @@
  * ticketBase s << 48 (ShardedServer::shardOfTicket recovers the shard
  * from a ticket), so merged drop/failure reports never collide.
  *
- * stop() stops every shard and merges their ServerStats: counters,
- * lane slices, and model slices are summed field-wise; latency
- * percentiles are recomputed from the concatenated reservoir
- * snapshots (exact whenever no shard overflowed its 64k reservoir —
+ * stop() stops every shard and merges their registries' snapshots
+ * (plus the front door's) with MetricsSnapshot::merge, then reads the
+ * merged ServerStats from that one snapshot through statsFromSnapshot:
+ * counters sum, and latency percentiles come from the concatenated
+ * reservoirs (exact whenever no shard overflowed its 64k reservoir —
  * merging two reservoirs by concatenation is sample-count-weighted,
  * which is the right weighting when both are exhaustive). Per-shard
  * stats stay available via shardStats() for per-shard reporting
@@ -83,9 +85,12 @@ class ShardedServer
 {
   public:
     /**
-     * Single-model sharded server: every shard gets a copy of
-     * @p engine (same plan, same execution policy — verdicts are
-     * bit-identical across shards by the engine's own contract).
+     * Single-model sharded server: the routed form over one shared
+     * singleModelRegistry(@p engine, @p scaler) and singleModelRoute()
+     * (same plan, same execution policy on every shard — verdicts are
+     * bit-identical across shards by the engine's own contract). The
+     * registry's control-plane counters go to the process-global
+     * metric registry.
      */
     ShardedServer(const InferenceEngine &engine,
                   ShardedServerConfig config,
@@ -106,7 +111,7 @@ class ShardedServer
     ShardedServer &operator=(const ShardedServer &) = delete;
 
     /** Admit one feature row for @p flow_key's shard. Same contract
-     *  as Server::submit (width check, scaler, lane). */
+     *  as Server::submit (width check, lane). */
     SubmitResult submit(std::uint64_t flow_key,
                         std::vector<double> features,
                         std::size_t lane = 0);
@@ -119,10 +124,6 @@ class ShardedServer
      *  ticket — same per-ticket contract as Server::submitFrame. */
     SubmitResult submitFrame(const std::vector<std::uint8_t> &frame,
                              std::size_t lane = 0);
-
-    /** Extract + admit an already-parsed packet on its flow's shard. */
-    SubmitResult submitPacket(const net::RawPacket &packet,
-                              std::size_t lane = 0);
 
     /** Stop every shard, merge the stats (see file comment).
      *  Idempotent. */
@@ -173,9 +174,6 @@ class ShardedServer
     };
 
     void buildRing(std::size_t shard_count, std::size_t virtual_nodes);
-    /** Bind the front door's instruments + ticket namespace (both
-     *  constructors, after servers_ is sized). */
-    void initFrontDoor(const ServerConfig &base);
 
     std::vector<std::unique_ptr<Server>> servers_;
     std::vector<RingPoint> ring_;  ///< sorted; immutable after ctor.

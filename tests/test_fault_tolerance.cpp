@@ -285,6 +285,43 @@ TEST(ServerFault, SameSeedFailsTheSameRequests)
     EXPECT_EQ(first, failedTickets());
 }
 
+TEST(ServerFault, EngineRunFiresOncePerSliceOnRoutedServers)
+{
+    // engine.run is the batch-execution site of every Server: it fires
+    // once per slice attempt, before the router runs any hop.
+    hi::ModelIr ir = mlpModel(7, 4, 3);
+    auto registry = std::make_shared<hr::ModelRegistry>();
+    registry->load("m", ir);
+    hr::RouteConfig route;
+    route.defaultModel = "m";
+
+    hf::FaultInjector injector;
+    injector.arm(hf::kSiteEngineRun, 1.0, 3);
+    injector.arm(hf::kSiteRouterHop, 0.0, 3);  // counted, never fires.
+    hr::ServerConfig config;
+    config.queue.maxBatch = 16;
+    config.queue.maxDelayUs = 1'000'000;  // size-only flushes.
+    config.retryDepth = 0;
+    config.injector = &injector;
+    hr::Server server(registry, route, config);
+
+    hm::Matrix x = featureRows(5, 160, 4);
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        ASSERT_TRUE(server.submit(x.row(r)).admitted());
+    hr::ServerStats stats = server.stop();
+
+    const std::uint64_t batches = stats.queue.sizeFlushes +
+                                  stats.queue.deadlineFlushes +
+                                  stats.queue.drainFlushes;
+    EXPECT_EQ(batches, 10u);
+    EXPECT_EQ(stats.failedBatches, batches);
+    EXPECT_EQ(stats.failedRows, x.rows());
+    EXPECT_EQ(stats.rowsServed, 0u);
+    EXPECT_EQ(injector.checked(hf::kSiteEngineRun), batches);
+    EXPECT_EQ(injector.fired(hf::kSiteEngineRun), batches);
+    EXPECT_EQ(injector.checked(hf::kSiteRouterHop), 0u);
+}
+
 TEST(ServerFault, BisectRetryIsolatesThePoisonRow)
 {
     hi::ModelIr ir = mlpModel(7, 4, 3);

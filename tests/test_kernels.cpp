@@ -3,7 +3,7 @@
  * Differential tests for the vectorized kernel layer (src/kernels/).
  *
  * The kernel contract is bit-exactness: every dispatch target (AVX2,
- * NEON, scalar) must reproduce the reference interpreter's labels AND
+ * scalar) must reproduce the reference interpreter's labels AND
  * its intermediate saturation semantics on every model family, every
  * Q-format width, and every awkward shape (odd row counts, odd feature
  * widths — the vector-tail cases). These tests pin that contract by
@@ -285,13 +285,12 @@ TEST(KernelDispatch, ParseTargetNamesAndRejections)
 {
     EXPECT_EQ(hk::parseKernelTarget("scalar"), hk::KernelTarget::kScalar);
     EXPECT_EQ(hk::parseKernelTarget("avx2"), hk::KernelTarget::kAvx2);
-    EXPECT_EQ(hk::parseKernelTarget("neon"), hk::KernelTarget::kNeon);
     EXPECT_THROW(hk::parseKernelTarget("bogus"), std::runtime_error);
+    EXPECT_THROW(hk::parseKernelTarget("neon"), std::runtime_error);
     // "auto" is a resolution policy, not a table.
     EXPECT_THROW(hk::parseKernelTarget("auto"), std::runtime_error);
     EXPECT_STREQ(hk::kernelTargetName(hk::KernelTarget::kScalar), "scalar");
     EXPECT_STREQ(hk::kernelTargetName(hk::KernelTarget::kAvx2), "avx2");
-    EXPECT_STREQ(hk::kernelTargetName(hk::KernelTarget::kNeon), "neon");
 }
 
 TEST(KernelDispatch, ForceWinsAndResetRestores)

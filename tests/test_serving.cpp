@@ -23,6 +23,7 @@
 #include <ctime>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -525,6 +526,61 @@ TEST(Server, RejectsUnfittedOrMismatchedScalerAndBadRowWidth)
     EXPECT_THROW(server.submit(std::vector<double>(3, 0.0)),
                  std::runtime_error);
     server.stop();
+}
+
+TEST(Server, SingleModelFormIsAOneModelRoute)
+{
+    // Server(engine, scaler) is shorthand for a one-model registry
+    // behind the default route: the same rows get the same verdicts,
+    // and both forms report that one model's slice.
+    auto model = tcModel(59);
+    model.scalerMeans.assign(model.inputDim, 1.5);
+    model.scalerStds.assign(model.inputDim, 0.75);
+    model.validate();
+    hc::Rng rng(61);
+    hm::Matrix raw(500, model.inputDim);
+    for (double &v : raw.data())
+        v = rng.uniform(-4.0, 4.0);
+    hr::ServerConfig config;
+    config.queue.maxBatch = 64;
+    config.queue.maxDepth = 0;
+
+    auto verdicts_of = [&](auto make_server) {
+        std::mutex mutex;
+        std::map<std::uint64_t, int> by_ticket;
+        std::unique_ptr<hr::Server> server =
+            make_server([&](const hr::Request &request, int verdict) {
+                std::lock_guard<std::mutex> lock(mutex);
+                by_ticket[request.id] = verdict;
+            });
+        std::vector<std::uint64_t> tickets;
+        for (std::size_t r = 0; r < raw.rows(); ++r)
+            tickets.push_back(server->submit(raw.row(r)).ticket);
+        hr::ServerStats stats = server->stop();
+        EXPECT_EQ(stats.rowsServed, raw.rows());
+        EXPECT_EQ(stats.models.size(), 1u);
+        for (const hr::ModelStats &model_stats : stats.models)
+            EXPECT_EQ(model_stats.rowsServed, stats.rowsServed);
+        std::vector<int> verdicts;
+        for (std::uint64_t ticket : tickets)
+            verdicts.push_back(by_ticket.at(ticket));
+        return verdicts;
+    };
+    auto registry = std::make_shared<hr::ModelRegistry>();
+    registry->load("m", model);
+    hr::RouteConfig route;
+    route.defaultModel = "m";
+    EXPECT_EQ(verdicts_of([&](hr::Server::VerdictFn sink) {
+                  return std::make_unique<hr::Server>(
+                      hr::InferenceEngine::fromModel(model, {}), config,
+                      sink,
+                      ml::StandardScaler::fromMoments(model.scalerMeans,
+                                                      model.scalerStds));
+              }),
+              verdicts_of([&](hr::Server::VerdictFn sink) {
+                  return std::make_unique<hr::Server>(registry, route,
+                                                      config, sink);
+              }));
 }
 
 // ------------------------------------------------- lanes + backpressure

@@ -286,7 +286,9 @@ TEST(TraceSink, ServerRecordsOneSpanPerServedRequest)
         EXPECT_EQ(span.lane, 0u);
         EXPECT_GE(span.flushedAtUs, span.enqueuedAtUs);
         EXPECT_GE(span.latencyUs, 0.0);
-        EXPECT_EQ(span.hopCount, 0u);  // single-model: no routed hops.
+        // The single-model form is a one-model route: one hop each.
+        ASSERT_EQ(span.hopCount, 1u);
+        EXPECT_EQ(sink.modelName(span.hops[0]), hr::kSingleModelName);
     }
     // Every admitted ticket shows up in exactly one span.
     std::vector<std::uint64_t> span_tickets;

@@ -392,11 +392,12 @@ replayOptions(const CliOptions &options)
  * admission, flush, latency, per-lane, per-model, per-shard and
  * failure statistics plus the verdict counts.
  *
- * Construction is the one place the forms differ. A compiled @p winner
- * runs on the engine form of Server (ShardedServer when
- * --serve-shards > 1) with its artifact scaler; without one, the
- * --serve-model artifacts run from a ModelRegistry behind a Router,
- * where a hot swap lands at the next batch of every shard.
+ * The registry is the one place the forms differ. A compiled @p winner
+ * is installed as the one model of a registry, with its artifact
+ * scaler; without one, the --serve-model artifacts are loaded into a
+ * registry behind their route, where a hot swap lands at the next
+ * batch of every shard. Either runs on Server, or on ShardedServer
+ * when --serve-shards > 1.
  */
 void
 serveTrace(const char *mode, const CliOptions &options,
@@ -449,10 +450,6 @@ serveTrace(const char *mode, const CliOptions &options,
         std::lock_guard<std::mutex> lock(verdict_mutex);
         ++verdict_counts[verdict];
     };
-    // Frames enter through submitFrame either way; a ShardedServer keys
-    // each one by its 5-tuple so a flow sticks to one shard.
-    std::unique_ptr<runtime::Server> server;
-    std::unique_ptr<runtime::ShardedServer> sharded;
     std::shared_ptr<runtime::ModelRegistry> registry;
     runtime::RouteConfig route;
     if (winner != nullptr) {
@@ -460,25 +457,24 @@ serveTrace(const char *mode, const CliOptions &options,
         std::optional<ml::StandardScaler> scaler =
             resolveServingScaler(options, *winner, scaler_provenance);
         std::cout << "scaler    : " << scaler_provenance << "\n";
-        auto engine =
-            runtime::InferenceEngine::fromModel(*winner, engine_options);
-        if (options.serveShards > 1)
-            sharded = std::make_unique<runtime::ShardedServer>(
-                engine, sharded_config, on_verdict, std::move(scaler));
-        else
-            server = std::make_unique<runtime::Server>(
-                std::move(engine), server_config, on_verdict,
-                std::move(scaler));
+        registry = runtime::singleModelRegistry(
+            runtime::InferenceEngine::fromModel(*winner, engine_options),
+            std::move(scaler));
+        route = runtime::singleModelRoute();
     } else {
         registry = loadRegistry(options, engine_options);
         route = buildRoute(options);
-        if (options.serveShards > 1)
-            sharded = std::make_unique<runtime::ShardedServer>(
-                registry, route, sharded_config, on_verdict);
-        else
-            server = std::make_unique<runtime::Server>(
-                registry, route, server_config, on_verdict);
     }
+    // Frames enter through submitFrame either way; a ShardedServer keys
+    // each one by its 5-tuple so a flow sticks to one shard.
+    std::unique_ptr<runtime::Server> server;
+    std::unique_ptr<runtime::ShardedServer> sharded;
+    if (options.serveShards > 1)
+        sharded = std::make_unique<runtime::ShardedServer>(
+            registry, route, sharded_config, on_verdict);
+    else
+        server = std::make_unique<runtime::Server>(
+            registry, route, server_config, on_verdict);
     auto snapshot = [&] {
         return sharded ? sharded->metricsSnapshot()
                        : server->metrics().snapshot();

@@ -521,9 +521,8 @@ parseArgs(int argc, const char *const *argv, CliOptions &options,
     take_u64("seed", options.seed);
     if (auto it = flags.find("kernel"); it != flags.end()) {
         std::string target = common::toLower(common::trim(it->second));
-        if (target != "auto" && target != "scalar" && target != "avx2" &&
-            target != "neon") {
-            err << "homc: --kernel expects auto|scalar|avx2|neon, got '"
+        if (target != "auto" && target != "scalar" && target != "avx2") {
+            err << "homc: --kernel expects auto|scalar|avx2, got '"
                 << it->second << "'\n";
             ok = false;
         } else {
@@ -809,7 +808,7 @@ printUsage(std::ostream &out)
         "                           admission; over-budget rows skip\n"
         "                           further chain hops (0 = unbounded)\n"
         "  --serve-shards N         scale out: N independent servers\n"
-        "                           (queue + batcher + engine each),\n"
+        "                           (queue + batcher + router each),\n"
         "                           frames hashed to shards by 5-tuple\n"
         "                           flow key; prints per-shard + merged\n"
         "                           stats (default 1 = unsharded)\n"
@@ -825,7 +824,7 @@ printUsage(std::ostream &out)
         "                           live counters line to stderr\n"
         "                           (default 0 = off)\n"
         "  --kernel T               pin the CPU kernel table: auto|\n"
-        "                           scalar|avx2|neon (default auto =\n"
+        "                           scalar|avx2 (default auto =\n"
         "                           probe; errors when T is not\n"
         "                           available on this host)\n"
         "  --list-kernels           enumerate kernel targets: which are\n"

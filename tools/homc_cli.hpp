@@ -107,7 +107,7 @@ struct CliOptions
      *  frames, one counters line on stderr (0 = off). */
     std::size_t serveStatsEvery = 0;
     bool dumpIr = false;
-    /** Kernel dispatch pin from --kernel (auto|scalar|avx2|neon; empty
+    /** Kernel dispatch pin from --kernel (auto|scalar|avx2; empty
      *  = leave the dispatch to its probe / HOMUNCULUS_KERNELS). */
     std::string kernel;
     bool listKernels = false;
