@@ -61,9 +61,8 @@ core::CandidateEvaluation trainBaseline(App app, const ml::DataSplit &split,
 core::PlatformHandle paperTaurus();
 
 /**
- * Search options used by the table benches (paper-scale-ish budget).
- * Returned as the session API's CompileOptions; pass to core::Compiler
- * or core::searchSpec().
+ * Search options used by the paper experiments (paper-scale-ish budget),
+ * as the session API's CompileOptions for core::Compiler.
  */
 core::CompileOptions searchBudget(std::size_t init = 5,
                                   std::size_t iterations = 15);

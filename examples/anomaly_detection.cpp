@@ -64,13 +64,14 @@ main()
     core::CompileOptions options;
     options.bo.numInitSamples = 4;
     options.bo.numIterations = 10;
-    auto outcome = core::searchSpec(spec, platform, options, split);
+    platform.schedule(spec);
+    auto outcome = core::Compiler(options).compile(platform);
     if (!outcome.isOk()) {
         std::cerr << "search failed: " << outcome.status().toString()
                   << "\n";
         return 1;
     }
-    const core::GeneratedModel &generated = outcome.value();
+    const core::GeneratedModel &generated = outcome->models.front();
 
     std::cout << "search trace (F1 / feasible / CUs):\n";
     for (const auto &record : generated.searchHistory.history) {

@@ -73,8 +73,9 @@ main()
     core::CompileOptions options;
     options.bo.numInitSamples = 4;
     options.bo.numIterations = 8;
-    auto generated =
-        core::searchSpec(spec, platform, options, split).value();
+    platform.schedule(spec);
+    auto compiled = core::Compiler(options).compile(platform).value();
+    const core::GeneratedModel &generated = compiled.models.front();
 
     std::cout << "model: " << generated.model.paramCount() << " params, "
               << generated.report.summary() << "\n"

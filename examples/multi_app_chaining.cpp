@@ -91,9 +91,9 @@ main()
     fused_spec.dataLoader = [fused] { return fused; };
     auto fused_platform = core::Platforms::taurus();
     fused_platform.constrain({1.0, 500.0}, {16, 16});
-    auto fused_model =
-        core::searchSpec(fused_spec, fused_platform, options, fused)
-            .value();
+    fused_platform.schedule(fused_spec);
+    auto fused_compiled = compiler.compile(fused_platform).value();
+    const core::GeneratedModel &fused_model = fused_compiled.models.front();
     std::cout << "fused model: " << fused_model.model.paramCount()
               << " params, F1 " << fused_model.objective << ", "
               << fused_model.report.summary() << "\n";

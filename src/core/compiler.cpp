@@ -247,10 +247,8 @@ runWarmupTask(FamilyRun &run, std::size_t index,
  * `jobs`-wide dispatch over every (spec, family, warm-up index) — no
  * warm-up draw depends on an earlier result, so this is where the pool
  * fills up even when one family dominates — then one task per family for
- * its surrogate-guided phase. CompileSession::searchFamilies and
- * searchSpec() both orchestrate through this one helper, which keeps
- * their behavior — and the determinism guarantee — identical. @p notify
- * must already be serialized (or empty).
+ * its surrogate-guided phase. @p notify must already be serialized (or
+ * empty).
  */
 void
 runFamilySearches(const std::vector<FamilyWork> &work,
@@ -776,57 +774,6 @@ Compiler::compile(PlatformHandle &platform) const
     if (Status status = session.run(); !status)
         return status;
     return session.takeReport();
-}
-
-// ------------------------------------------------------------- searchSpec
-
-Result<GeneratedModel>
-searchSpec(const ModelSpec &spec, PlatformHandle &platform,
-           const CompileOptions &options, const ml::DataSplit &split)
-{
-    const backends::Platform &target = platform.platform();
-    std::vector<Algorithm> candidates = selectCandidates(
-        spec, target, split.train.numFeatures(), split.train.numClasses);
-    if (candidates.empty())
-        return Status::infeasible("no feasible algorithm family for spec '" +
-                                  spec.name + "' on " + target.name());
-
-    std::mutex observer_mutex;
-    std::function<void(const ProgressEvent &)> notify;
-    if (options.observer)
-        notify = [&options, &observer_mutex](const ProgressEvent &event) {
-            std::lock_guard<std::mutex> lock(observer_mutex);
-            options.observer(event);
-        };
-
-    runtime::QuantCache quant_cache(split.test.x);
-    std::vector<FamilySearch> searches(candidates.size());
-    std::vector<FamilyWork> work;
-    work.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-        work.push_back({&spec, &split, candidates[i], &searches[i],
-                        &quant_cache});
-    runFamilySearches(work, target, options, notify);
-
-    if (Status status = foldSearchOutcomes(spec, searches); !status)
-        return status;
-    if (options.cancelToken.cancelRequested())
-        return Status::cancelled(
-            "compilation cancelled during family search");
-
-    Result<GeneratedModel> winner = pickWinnerFromSearches(spec, searches);
-    if (winner.isOk()) {
-        // Same emit contract as CompileSession::emit(): pass pipeline,
-        // refreshed report, then codegen.
-        if (Status status = runEmitPasses(options, target, winner.value());
-            !status)
-            return status;
-        if (options.emitCode)
-            if (Status status = emitModelCode(target, winner.value());
-                !status)
-                return status;
-    }
-    return winner;
 }
 
 }  // namespace homunculus::core

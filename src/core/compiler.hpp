@@ -276,14 +276,4 @@ class Compiler
     CompileOptions options_;
 };
 
-/**
- * Search a single spec on a platform over a preloaded split — the inner
- * loop of a session, exposed for experiments that sweep specs without
- * full schedules. Families run on the same jobs-wide pool.
- */
-Result<GeneratedModel> searchSpec(const ModelSpec &spec,
-                                  PlatformHandle &platform,
-                                  const CompileOptions &options,
-                                  const ml::DataSplit &split);
-
 }  // namespace homunculus::core

@@ -161,7 +161,7 @@ class Result
             throw std::runtime_error(status_.toString());
         return *value_;
     }
-    /** Rvalue access moves: `searchSpec(...).value()` never copies. */
+    /** Rvalue access moves: `compile(platform).value()` never copies. */
     T &&
     value() &&
     {

@@ -296,31 +296,6 @@ TEST(CompilerSession, ProgressObserverSeesStagesInOrder)
     EXPECT_EQ(stages.back(), hcore::Stage::kEmit);
 }
 
-TEST(CompilerSession, SearchSpecMatchesSessionWinner)
-{
-    auto spec = adSpec(700);
-    auto split = spec.dataLoader();
-
-    auto platform = hcore::Platforms::taurus();
-    platform.constrain({1.0, 500.0}, {16, 16});
-    auto direct =
-        hcore::searchSpec(spec, platform, tinyOptions(), split);
-    ASSERT_TRUE(direct.isOk());
-
-    auto platform_session = hcore::Platforms::taurus();
-    platform_session.constrain({1.0, 500.0}, {16, 16});
-    platform_session.schedule(spec);
-    hcore::Compiler compiler(tinyOptions());
-    auto compiled = compiler.compile(platform_session);
-    ASSERT_TRUE(compiled.isOk());
-
-    const auto *session_model = compiled->find("ad");
-    ASSERT_NE(session_model, nullptr);
-    EXPECT_EQ(direct->objective, session_model->objective);
-    EXPECT_EQ(direct->algorithm, session_model->algorithm);
-    EXPECT_EQ(direct->code, session_model->code);
-}
-
 // ------------------------------------------------- end to end, per backend
 
 TEST(CompilerEndToEnd, TaurusProducesFeasibleDnn)

@@ -5,7 +5,7 @@
  * width, concurrent execution of one shared plan, per-format
  * quantization caching (bit-exactness included), EvalOptions plumbing
  * through the backends, caller-scratch runRow, and inferJobs
- * determinism through searchSpec.
+ * determinism through a compile.
  *
  * The concurrency tests double as the TSAN workload: CI runs this
  * binary under -fsanitize=thread (see .github/workflows/ci.yml).
@@ -394,7 +394,7 @@ TEST(EvalOptions, PlatformsPredictIdenticallyAtAnyJobsWidthAndWithCache)
     }
 }
 
-TEST(EvalOptions, SearchSpecBitIdenticalAcrossInferJobs)
+TEST(EvalOptions, CompileBitIdenticalAcrossInferJobs)
 {
     hcore::ModelSpec spec;
     spec.name = "ad";
@@ -403,15 +403,18 @@ TEST(EvalOptions, SearchSpecBitIdenticalAcrossInferJobs)
     homunculus::data::AnomalyConfig config;
     config.numSamples = 700;
     auto split = homunculus::data::generateAnomalySplit(config);
+    spec.dataLoader = [split] { return split; };
 
     auto run_with = [&](std::size_t infer_jobs) {
         auto platform = hcore::Platforms::taurus();
         platform.constrain({1.0, 500.0}, {16, 16});
+        platform.schedule(spec);
         hcore::CompileOptions options;
         options.bo.numInitSamples = 2;
         options.bo.numIterations = 3;
         options.inferJobs = infer_jobs;
-        return hcore::searchSpec(spec, platform, options, split).value();
+        auto compiled = hcore::Compiler(options).compile(platform).value();
+        return std::move(compiled.models.front());
     };
 
     hcore::GeneratedModel one = run_with(1);
