@@ -229,6 +229,12 @@ runWarmupTask(FamilyRun &run, std::size_t index,
         }
         if (!next.evaluation)
             break;
+        // A cancel (say, from the progress event of the tell just made)
+        // ends the prefix here, even when later draws already finished.
+        if (bo.shouldStop && bo.shouldStop()) {
+            run.firstGap = std::min(run.firstGap, run.told);
+            break;
+        }
         try {
             run.optimizer->tell(run.warmup[run.told],
                                 run.keep(std::move(*next.evaluation)));

@@ -1,7 +1,5 @@
 #include "core/trainer.hpp"
 
-#include <chrono>
-
 #include "ml/metrics.hpp"
 
 namespace homunculus::core {
@@ -24,9 +22,9 @@ scoreMetric(Metric metric, const std::vector<int> &truth,
     return 0.0;
 }
 
-ir::ModelIr
-trainDnn(const opt::Configuration &config, const ModelSpec &spec,
-         const ml::DataSplit &split, std::uint64_t seed)
+ml::MlpConfig
+dnnConfig(const opt::Configuration &config, const ml::DataSplit &split,
+          std::uint64_t seed)
 {
     ml::MlpConfig mlp_config;
     mlp_config.inputDim = split.train.numFeatures();
@@ -43,10 +41,7 @@ trainDnn(const opt::Configuration &config, const ModelSpec &spec,
         ml::activationFromName(config.categorical("activation"));
     mlp_config.epochs = kCandidateTrainEpochs;
     mlp_config.seed = seed;
-
-    ml::Mlp mlp(mlp_config);
-    mlp.train(split.train);
-    return ir::lowerMlp(mlp, common::FixedPointFormat::q88(), spec.name);
+    return mlp_config;
 }
 
 ir::ModelIr
@@ -107,13 +102,23 @@ evaluateCandidate(Algorithm algorithm, const opt::Configuration &config,
                   const backends::Platform &platform, std::uint64_t seed,
                   const backends::EvalOptions &eval)
 {
-    auto started = std::chrono::steady_clock::now();
-
     CandidateEvaluation evaluation;
     switch (algorithm) {
-      case Algorithm::kDnn:
-        evaluation.model = trainDnn(config, spec, split, seed);
+      case Algorithm::kDnn: {
+        // Every platform's MLP estimate reads layer sizes only, so the
+        // untrained lowering already gets the trained net's report. An
+        // infeasible shape scores 0 whatever it learns: skip training.
+        ml::Mlp mlp(dnnConfig(config, split, seed));
+        evaluation.model = ir::lowerMlp(
+            mlp, common::FixedPointFormat::q88(), spec.name);
+        evaluation.report = platform.estimate(evaluation.model);
+        if (evaluation.report.feasible) {
+            mlp.train(split.train);
+            evaluation.model = ir::lowerMlp(
+                mlp, common::FixedPointFormat::q88(), spec.name);
+        }
         break;
+      }
       case Algorithm::kSvm:
         evaluation.model = trainSvm(config, spec, split, seed);
         break;
@@ -124,6 +129,10 @@ evaluateCandidate(Algorithm algorithm, const opt::Configuration &config,
         evaluation.model = trainTree(config, spec, split, seed);
         break;
     }
+    // The other families estimate after training: MAT targets bin SVM
+    // and KMeans weights, and a tree costs the depth it trained to.
+    if (algorithm != Algorithm::kDnn)
+        evaluation.report = platform.estimate(evaluation.model);
 
     // Scaler provenance: the split's training-time standardization (when
     // the loader recorded one) ships inside the artifact, so serving
@@ -134,7 +143,6 @@ evaluateCandidate(Algorithm algorithm, const opt::Configuration &config,
     evaluation.model.scalerStds = split.scalerStds;
     evaluation.model.scalerRecorded = true;
 
-    evaluation.report = platform.estimate(evaluation.model);
     if (evaluation.report.feasible) {
         // One batched evaluate per candidate: the backend compiles the
         // model once (ir::ExecutablePlan on plan-backed platforms, a MAT
@@ -148,11 +156,6 @@ evaluateCandidate(Algorithm algorithm, const opt::Configuration &config,
                                            split.test.y, predicted,
                                            split.test.numClasses);
     }
-
-    evaluation.trainSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count();
     return evaluation;
 }
 

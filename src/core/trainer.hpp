@@ -8,6 +8,11 @@
  * report, and — when feasible — run the *backend's own simulator* over
  * the test partition to score the objective metric. The score therefore
  * reflects the deployed fixed-point artifact, not the float model.
+ *
+ * A DNN is estimated before it trains: every backend costs an MLP by its
+ * layer sizes alone, so an infeasible shape is reported (objective 0)
+ * without training. The optimizer is told exactly what train-first
+ * evaluation would tell it.
  */
 #pragma once
 
@@ -25,11 +30,12 @@ struct CandidateEvaluation
     ir::ModelIr model;
     backends::ResourceReport report;
     double objective = 0.0;   ///< metric on the test partition.
-    double trainSeconds = 0.0;
 };
 
 /**
- * Train + lower + estimate + test one configuration.
+ * Train + lower + estimate + test one configuration. An infeasible DNN
+ * shape is neither trained nor scored: it returns its untrained
+ * lowering with objective 0.
  *
  * @param algorithm family to instantiate
  * @param config hyperparameters suggested by the optimizer

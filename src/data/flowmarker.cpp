@@ -22,35 +22,28 @@ homunculusCompressedConfig()
     return {};  // defaults are the 23 + 7 scheme.
 }
 
-std::vector<double>
-computeFlowMarker(const Flow &flow, const FlowMarkerConfig &config,
-                  std::size_t max_packets)
-{
-    std::vector<double> marker(config.totalBins(), 0.0);
-    std::size_t count = flow.packets.size();
-    if (max_packets > 0)
-        count = std::min(count, max_packets);
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const Packet &pkt = flow.packets[i];
-        auto pl_bin = static_cast<std::size_t>(pkt.sizeBytes /
-                                               config.plBinWidth);
-        pl_bin = std::min(pl_bin, config.plBins - 1);
-        marker[pl_bin] += 1.0;
-
-        if (i > 0) {
-            double gap = pkt.timestampSec -
-                         flow.packets[i - 1].timestampSec;
-            auto ipt_bin = static_cast<std::size_t>(
-                std::max(0.0, gap) / config.iptBinWidthSec);
-            ipt_bin = std::min(ipt_bin, config.iptBins - 1);
-            marker[config.plBins + ipt_bin] += 1.0;
-        }
-    }
-    return marker;
-}
-
 namespace {
+
+/**
+ * Count packet @p i of @p flow into @p marker: its PL bin, and from the
+ * second packet on the IPT bin of its gap to packet i - 1.
+ */
+void
+addPacket(std::vector<double> &marker, const Flow &flow, std::size_t i,
+          const FlowMarkerConfig &config)
+{
+    const Packet &pkt = flow.packets[i];
+    auto pl_bin = static_cast<std::size_t>(pkt.sizeBytes / config.plBinWidth);
+    marker[std::min(pl_bin, config.plBins - 1)] += 1.0;
+
+    if (i > 0) {
+        double gap = pkt.timestampSec - flow.packets[i - 1].timestampSec;
+        auto ipt_bin = static_cast<std::size_t>(std::max(0.0, gap) /
+                                                config.iptBinWidthSec);
+        marker[config.plBins + std::min(ipt_bin, config.iptBins - 1)] +=
+            1.0;
+    }
+}
 
 std::vector<std::string>
 markerFeatureNames(const FlowMarkerConfig &config)
@@ -64,6 +57,20 @@ markerFeatureNames(const FlowMarkerConfig &config)
 }
 
 }  // namespace
+
+std::vector<double>
+computeFlowMarker(const Flow &flow, const FlowMarkerConfig &config,
+                  std::size_t max_packets)
+{
+    std::vector<double> marker(config.totalBins(), 0.0);
+    std::size_t count = flow.packets.size();
+    if (max_packets > 0)
+        count = std::min(count, max_packets);
+
+    for (std::size_t i = 0; i < count; ++i)
+        addPacket(marker, flow, i, config);
+    return marker;
+}
 
 ml::Dataset
 buildFlowLevelDataset(const std::vector<Flow> &flows,
@@ -94,20 +101,30 @@ buildPerPacketDataset(const std::vector<Flow> &flows,
     if (stride == 0)
         stride = 1;
 
-    std::vector<std::vector<double>> rows;
-    std::vector<int> labels;
-    for (const Flow &flow : flows) {
-        for (std::size_t k = 1; k <= flow.packets.size(); k += stride) {
-            rows.push_back(computeFlowMarker(flow, config, k));
-            labels.push_back(flow.botnet ? 1 : 0);
-        }
-    }
+    std::size_t num_rows = 0;
+    for (const Flow &flow : flows)
+        num_rows += (flow.packets.size() + stride - 1) / stride;
 
     ml::Dataset out;
     out.numClasses = 2;
     out.featureNames = markerFeatureNames(config);
-    out.x = math::Matrix::fromRows(rows);
-    out.y = std::move(labels);
+    out.x = math::Matrix(num_rows, config.totalBins());
+    out.y.reserve(num_rows);
+    // One running marker per flow: prefix k adds packet k-1 to prefix
+    // k-1's counts, so each row equals computeFlowMarker(flow, config, k)
+    // (integer counts sum exactly) without rescanning from packet 0.
+    std::vector<double> marker(config.totalBins());
+    std::size_t row = 0;
+    for (const Flow &flow : flows) {
+        std::fill(marker.begin(), marker.end(), 0.0);
+        for (std::size_t i = 0; i < flow.packets.size(); ++i) {
+            addPacket(marker, flow, i, config);
+            if (i % stride != 0)
+                continue;
+            std::copy(marker.begin(), marker.end(), out.x.rowPtr(row++));
+            out.y.push_back(flow.botnet ? 1 : 0);
+        }
+    }
     return out;
 }
 

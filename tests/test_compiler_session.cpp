@@ -11,13 +11,19 @@
 #include <mutex>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/compiler.hpp"
+#include "core/trainer.hpp"
 #include "data/anomaly_generator.hpp"
 #include "data/iot_traffic_generator.hpp"
+#include "ir/serialize.hpp"
 #include "ml/metrics.hpp"
 
 namespace hcore = homunculus::core;
 namespace hd = homunculus::data;
+namespace hb = homunculus::bench;
+namespace hir = homunculus::ir;
+namespace hml = homunculus::ml;
 
 namespace {
 
@@ -43,6 +49,61 @@ tinyOptions()
     options.bo.numInitSamples = 3;
     options.bo.numIterations = 4;
     return options;
+}
+
+/** 64-bit FNV-1a step over @p size raw bytes. */
+void
+fnvMix(std::uint64_t &hash, const void *data, std::size_t size)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001B3ull;
+    }
+}
+
+void
+fnvMix(std::uint64_t &hash, double value)
+{
+    fnvMix(hash, &value, sizeof value);
+}
+
+void
+fnvMix(std::uint64_t &hash, const std::string &text)
+{
+    fnvMix(hash, text.data(), text.size());
+    fnvMix(hash, "", 1);  // terminator: "ab"+"c" != "a"+"bc".
+}
+
+/** An AD-shaped MLP (7 features, 2 classes, batch 16) with the given
+ *  hidden widths. */
+hml::MlpConfig
+adMlpConfig(std::vector<std::size_t> hidden)
+{
+    hml::MlpConfig config;
+    config.inputDim = 7;
+    config.numClasses = 2;
+    config.hiddenLayers = std::move(hidden);
+    config.batchSize = 16;
+    config.epochs = 2;
+    config.seed = 5;
+    return config;
+}
+
+/** The dnn design-space configuration that builds @p config's net. */
+homunculus::opt::Configuration
+dnnConfiguration(const hml::MlpConfig &config)
+{
+    homunculus::opt::Configuration out;
+    out.set("num_layers",
+            static_cast<std::int64_t>(config.hiddenLayers.size()));
+    for (std::size_t l = 0; l < config.hiddenLayers.size(); ++l)
+        out.set("width_" + std::to_string(l),
+                static_cast<std::int64_t>(config.hiddenLayers[l]));
+    out.set("learning_rate", 0.01);
+    out.set("batch_size", static_cast<std::int64_t>(config.batchSize));
+    out.set("activation", std::string("relu"));
+    return out;
 }
 
 }  // namespace
@@ -404,4 +465,159 @@ TEST(CompilerEndToEnd, ObjectiveComesFromQuantizedBackendEvaluation)
     double f1 = homunculus::ml::f1ForTask(split.test.y, predictions,
                                           split.test.numClasses);
     EXPECT_NEAR(f1, model->objective, 1e-12);
+}
+
+// ------------------------------------------- feasibility before training
+
+TEST(CompilerSession, MlpShapeEstimateMatchesTrainedEstimate)
+{
+    // evaluateCandidate estimates a DNN on its untrained lowering and
+    // trains only a feasible shape. That is sound because every
+    // platform's MLP estimate reads layer sizes only: pin it here, on
+    // both sides of each envelope.
+    auto split = hd::generateAnomalySplit([] {
+        hd::AnomalyConfig config;
+        config.numSamples = 300;
+        return config;
+    }());
+    ASSERT_EQ(split.train.numFeatures(), 7u);
+
+    std::vector<hcore::PlatformHandle> platforms;
+    for (const char *name : {"taurus", "tofino", "tofino-mat", "fpga"}) {
+        auto handle = hcore::Platforms::byName(name);
+        ASSERT_TRUE(handle.isOk()) << name;
+        platforms.push_back(handle.value());
+    }
+    platforms.push_back(hb::paperTaurus());
+    // 8% LUT admits nets under ~585 parameters.
+    auto capped_fpga = hcore::Platforms::fpga();
+    hcore::ResourceBudget lut_cap;
+    lut_cap.fpgaLutPercent = 8.0;
+    capped_fpga.constrain({0.1, 2000.0}, lut_cap);
+    platforms.push_back(capped_fpga);
+
+    const std::vector<std::vector<std::size_t>> shapes = {
+        {},          {4},         {16, 8},         {32, 32, 24, 10},
+        {64, 64},    {12, 6, 3},  {8, 8, 8, 8, 8},
+    };
+    std::size_t feasible = 0, infeasible = 0;
+    for (const auto &hidden : shapes) {
+        hml::Mlp untrained(adMlpConfig(hidden));
+        hml::Mlp trained(adMlpConfig(hidden));
+        trained.train(split.train);
+        auto format = homunculus::common::FixedPointFormat::q88();
+        hir::ModelIr shape_ir = hir::lowerMlp(untrained, format, "ad");
+        hir::ModelIr trained_ir = hir::lowerMlp(trained, format, "ad");
+        ASSERT_TRUE(hir::serializeModel(shape_ir) !=
+                    hir::serializeModel(trained_ir));
+
+        for (const auto &handle : platforms) {
+            const auto &platform = handle.platform();
+            std::string where = platform.name() + " hidden " +
+                                std::to_string(hidden.size()) + "/" +
+                                std::to_string(shape_ir.paramCount());
+            hcore::CandidateEvaluation shape, full;
+            shape.model = shape_ir;
+            shape.report = platform.estimate(shape_ir);
+            full.model = trained_ir;
+            full.report = platform.estimate(trained_ir);
+            const auto &a = shape.report;
+            const auto &b = full.report;
+            EXPECT_EQ(a.computeUnits, b.computeUnits) << where;
+            EXPECT_EQ(a.memoryUnits, b.memoryUnits) << where;
+            EXPECT_EQ(a.matTables, b.matTables) << where;
+            EXPECT_EQ(a.matEntries, b.matEntries) << where;
+            EXPECT_EQ(a.lutPercent, b.lutPercent) << where;
+            EXPECT_EQ(a.ffPercent, b.ffPercent) << where;
+            EXPECT_EQ(a.bramPercent, b.bramPercent) << where;
+            EXPECT_EQ(a.powerWatts, b.powerWatts) << where;
+            EXPECT_EQ(a.latencyNs, b.latencyNs) << where;
+            EXPECT_EQ(a.throughputGpps, b.throughputGpps) << where;
+            EXPECT_EQ(a.feasible, b.feasible) << where;
+            EXPECT_EQ(a.infeasibleReason, b.infeasibleReason) << where;
+            EXPECT_EQ(hcore::toEvalResult(shape).metrics,
+                      hcore::toEvalResult(full).metrics)
+                << where;
+            (a.feasible ? feasible : infeasible) += 1;
+        }
+    }
+    // Both verdicts occur, so the equality covers both branches.
+    EXPECT_GT(feasible, 0u);
+    EXPECT_GT(infeasible, 0u);
+}
+
+TEST(CompilerSession, InfeasibleMlpCandidateIsNotTrained)
+{
+    // compile_ad's costliest warm-up draw: 7 -> 32/32/24/10 -> 2 at
+    // batch 16 (2,376 parameters) overflows Taurus 16x16.
+    auto platform = hb::paperTaurus();
+    auto spec = adSpec(600);
+    auto split = spec.dataLoader();
+    hml::MlpConfig mlp_config = adMlpConfig({32, 32, 24, 10});
+    mlp_config.epochs = hcore::kCandidateTrainEpochs;
+    mlp_config.seed = hb::kBenchSeed;
+
+    auto evaluation = hcore::evaluateCandidate(
+        hcore::Algorithm::kDnn, dnnConfiguration(mlp_config), spec, split,
+        platform.platform(), hb::kBenchSeed);
+    EXPECT_FALSE(evaluation.report.feasible);
+    EXPECT_FALSE(evaluation.report.infeasibleReason.empty());
+    EXPECT_EQ(evaluation.objective, 0.0);
+    EXPECT_EQ(evaluation.model.paramCount(), 2376u);
+
+    // The returned IR carries the He init, not trained weights.
+    hir::ModelIr untrained = hir::lowerMlp(
+        hml::Mlp(mlp_config), homunculus::common::FixedPointFormat::q88(),
+        spec.name);
+    untrained.scalerMeans = split.scalerMeans;
+    untrained.scalerStds = split.scalerStds;
+    untrained.scalerRecorded = true;
+    EXPECT_TRUE(hir::serializeModel(evaluation.model) ==
+                hir::serializeModel(untrained));
+
+    auto result = hcore::toEvalResult(evaluation);
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.objective, 0.0);
+}
+
+TEST(CompilerSession, SearchHistoryMatchesPinnedDigest)
+{
+    // A compile shaped like perfbench's compile_ad on the fixed bench AD
+    // data: dnn + svm, BO 6 + 2, Taurus 16x16 at 1 GPkt/s / 500 ns. The
+    // digest covers every record the optimizer was told, so skipping a
+    // step of an evaluation must leave it unchanged.
+    // Captured from the train-then-estimate evaluator.
+    constexpr std::uint64_t kPinned = 0xae977410750bbceaull;
+    for (std::size_t jobs : {1u, 2u}) {
+        auto platform = hb::paperTaurus();
+        hcore::ModelSpec spec = hb::appSpec(hb::App::kAd);
+        spec.algorithms = {hcore::Algorithm::kDnn, hcore::Algorithm::kSvm};
+        platform.schedule(spec);
+        hcore::CompileOptions options;
+        options.bo.numInitSamples = 6;
+        options.bo.numIterations = 2;
+        options.seed = hb::kBenchSeed;
+        options.jobs = jobs;
+        auto compiled = hcore::Compiler(options).compile(platform);
+        ASSERT_TRUE(compiled.isOk()) << compiled.status().toString();
+        const auto *model = compiled->find(spec.name);
+        ASSERT_NE(model, nullptr);
+        ASSERT_EQ(model->perAlgorithm.size(), 2u);
+
+        std::uint64_t hash = 0xCBF29CE484222325ull;
+        for (const auto &[family, trace] : model->perAlgorithm) {
+            fnvMix(hash, family);
+            for (const auto &record : trace.history) {
+                fnvMix(hash, record.config.toString());
+                fnvMix(hash, record.result.objective);
+                fnvMix(hash, record.result.feasible ? 1.0 : 0.0);
+                for (const auto &[name, value] : record.result.metrics) {
+                    fnvMix(hash, name);
+                    fnvMix(hash, value);
+                }
+            }
+        }
+        EXPECT_EQ(hash, kPinned) << "jobs " << jobs << std::hex
+                                 << " digest 0x" << hash;
+    }
 }

@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/anomaly_generator.hpp"
 #include "data/flowmarker.hpp"
 #include "data/iot_traffic_generator.hpp"
@@ -206,6 +208,53 @@ TEST(FlowMarker, DatasetBuildersProduceLabeledRows)
     auto per_packet = hd::buildPerPacketDataset(flows, marker_config, 5);
     EXPECT_GT(per_packet.numSamples(), flow_level.numSamples());
     EXPECT_NO_THROW(per_packet.validate());
+}
+
+TEST(FlowMarker, PerPacketRowsMatchPrefixRecompute)
+{
+    // A 1-packet flow, a 2-packet flow, and long flows whose sizes and
+    // gaps overrun the last PL and IPT bins (plus a zero gap).
+    std::vector<hd::Flow> flows(3);
+    flows[0].packets = {{0.0, 70.0}};
+    flows[1].botnet = true;
+    flows[1].packets = {{0.0, 1500.0}, {9000.0, 40.0}};
+    double t = 0.0;
+    for (std::size_t i = 0; i < 237; ++i) {
+        if (i % 3 != 0)
+            t += static_cast<double>((i * 7919) % 4200);
+        flows[2].packets.push_back(
+            {t, static_cast<double>((i * 104729) % 1700)});
+    }
+    hd::P2pTraceConfig trace_config;
+    trace_config.numFlows = 4;
+    for (hd::Flow &flow : hd::generateP2pFlows(trace_config))
+        flows.push_back(std::move(flow));
+    ASSERT_GE(flows[2].packets.size(), 200u);
+
+    for (const auto &marker_config :
+         {hd::homunculusCompressedConfig(), hd::flowLensOriginalConfig()}) {
+        for (std::size_t stride : {1u, 2u, 5u}) {
+            auto data = hd::buildPerPacketDataset(flows, marker_config,
+                                                  stride);
+            ASSERT_EQ(data.numFeatures(), marker_config.totalBins());
+            std::size_t row = 0;
+            for (const hd::Flow &flow : flows) {
+                for (std::size_t k = 1; k <= flow.packets.size();
+                     k += stride, ++row) {
+                    ASSERT_LT(row, data.numSamples());
+                    auto expected =
+                        hd::computeFlowMarker(flow, marker_config, k);
+                    EXPECT_EQ(std::memcmp(&data.x(row, 0), expected.data(),
+                                          expected.size() * sizeof(double)),
+                              0)
+                        << "stride " << stride << " row " << row << " k "
+                        << k;
+                    EXPECT_EQ(data.y[row], flow.botnet ? 1 : 0);
+                }
+            }
+            EXPECT_EQ(row, data.numSamples()) << "stride " << stride;
+        }
+    }
 }
 
 TEST(FlowMarker, ClassHistogramsDiverge)
