@@ -28,7 +28,9 @@
 #include "core/design_space.hpp"
 #include "core/fusion.hpp"
 #include "core/schedule.hpp"
+#include "ir/exec_plan.hpp"
 #include "ml/metrics.hpp"
+#include "runtime/executor.hpp"
 
 using namespace homunculus;
 using namespace homunculus::bench;
@@ -716,26 +718,43 @@ boVsRandom(BenchJson &json)
         return budget + 1;
     };
 
+    // Every search is seeded, so the six of them (BO and random for
+    // each seed) run as one dispatch on the shared pool and are reported
+    // afterwards in seed order: the output does not depend on how the
+    // pool schedules them. BO tasks come first because they run longest.
+    const std::vector<std::uint64_t> seeds = {1, 2, 3};
+    std::vector<opt::BoResult> bo_runs(seeds.size());
+    std::vector<opt::BoResult> random_runs(seeds.size());
+    runtime::Executor::processDefault().run(
+        0, 2 * seeds.size(), [&](std::size_t task, std::size_t) {
+            const std::size_t index = task % seeds.size();
+            const std::uint64_t seed = seeds[index];
+            auto objective =
+                [&](const opt::Configuration &config) -> opt::EvalResult {
+                auto evaluation = core::evaluateCandidate(
+                    core::Algorithm::kDnn, config, spec, split,
+                    platform.platform(), kBenchSeed + seed);
+                return core::toEvalResult(evaluation);
+            };
+            if (task < seeds.size()) {
+                opt::BoConfig bo_config;
+                bo_config.numInitSamples = 5;
+                bo_config.numIterations = budget - 5;
+                bo_config.seed = seed;
+                opt::BayesianOptimizer optimizer(space, bo_config);
+                bo_runs[index] = optimizer.optimize(objective);
+            } else {
+                random_runs[index] = opt::randomSearch(
+                    space, objective, budget, true, seed + 100);
+            }
+        });
+
     double bo_total = 0.0, random_total = 0.0;
     double bo_iters = 0.0, random_iters = 0.0;
-    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-        auto objective =
-            [&](const opt::Configuration &config) -> opt::EvalResult {
-            auto evaluation = core::evaluateCandidate(
-                core::Algorithm::kDnn, config, spec, split,
-                platform.platform(), kBenchSeed + seed);
-            return core::toEvalResult(evaluation);
-        };
-
-        opt::BoConfig bo_config;
-        bo_config.numInitSamples = 5;
-        bo_config.numIterations = budget - 5;
-        bo_config.seed = seed;
-        opt::BayesianOptimizer optimizer(space, bo_config);
-        auto bo = optimizer.optimize(objective);
-
-        auto random =
-            opt::randomSearch(space, objective, budget, true, seed + 100);
+    for (std::size_t index = 0; index < seeds.size(); ++index) {
+        const std::uint64_t seed = seeds[index];
+        const opt::BoResult &bo = bo_runs[index];
+        const opt::BoResult &random = random_runs[index];
 
         const double threshold = 0.82;
         std::size_t bo_to = iters_to(bo, threshold);
@@ -980,7 +999,8 @@ quantization(BenchJson &json)
     for (int frac : {1, 2, 4, 6, 8, 10, 12}) {
         auto ir_model =
             ir::lowerMlp(mlp, common::FixedPointFormat(8, frac), "ad_q");
-        auto predicted = ir::executeIrBatch(ir_model, split.test.x);
+        auto predicted =
+            ir::ExecutablePlan::compile(ir_model).run(split.test.x);
         double f1 = ml::f1ForTask(split.test.y, predicted,
                                   split.test.numClasses);
         f1_series.push_back(f1);

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "kernels/kernel_dispatch.hpp"
 #include "runtime/executor.hpp"
 
@@ -310,8 +309,7 @@ MatPipeline::processLinear(const std::vector<double> &features) const
 
 std::vector<int>
 MatPipeline::processBatch(const math::Matrix &x, std::size_t jobs,
-                          const ir::QuantizedMatrix *pre_quantized,
-                          runtime::Executor *executor) const
+                          const ir::QuantizedMatrix *pre_quantized) const
 {
     if (x.rows() > 0 && x.cols() != inputDim_)
         throw std::runtime_error("MatPipeline: feature width mismatch");
@@ -340,9 +338,7 @@ MatPipeline::processBatch(const math::Matrix &x, std::size_t jobs,
     // deterministically into labels at any jobs width.
     constexpr std::size_t kWalkChunkRows = 512;
     constexpr std::size_t kMatChunkRows = 64;
-    runtime::Executor &pool = executor != nullptr
-                                  ? *executor
-                                  : runtime::Executor::processDefault();
+    runtime::Executor &pool = runtime::Executor::processDefault();
     std::size_t workers = pool.resolve(jobs);
     struct WalkScratch
     {

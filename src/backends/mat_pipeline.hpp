@@ -33,10 +33,6 @@
 #include "ir/exec_plan.hpp"
 #include "ir/model_ir.hpp"
 
-namespace homunculus::runtime {
-class Executor;
-}
-
 namespace homunculus::backends {
 
 /** A range-match entry: [lo, hi] on the stage key -> action payload. */
@@ -138,16 +134,15 @@ class MatPipeline
      * Batched walk over a feature matrix: quantization buffers and class
      * accumulators are hoisted out of the per-packet loop, rows are read
      * in place (no per-row copies), and the row loop shards across up to
-     * @p jobs threads (0 = one per hardware thread) on @p executor
-     * (nullptr = the process-default runtime::Executor) — the walk is
+     * @p jobs threads (0 = one per hardware thread) on the
+     * process-default runtime::Executor — the walk is
      * per-row independent, so labels are identical to calling process()
      * on each row at any width. @p pre_quantized, when non-null and in
      * this pipeline's format, skips input quantization entirely.
      */
     std::vector<int> processBatch(
         const math::Matrix &x, std::size_t jobs = 1,
-        const ir::QuantizedMatrix *pre_quantized = nullptr,
-        runtime::Executor *executor = nullptr) const;
+        const ir::QuantizedMatrix *pre_quantized = nullptr) const;
 
     std::size_t numTables() const { return tables_.size(); }
     std::size_t totalEntries() const;

@@ -103,8 +103,7 @@ MatPlatform::evaluate(const ir::ModelIr &model, const math::Matrix &x,
     const ir::QuantizedMatrix *pre = nullptr;
     if (options.quantCache != nullptr && options.quantCache->covers(x))
         pre = &options.quantCache->get(model.format);
-    return compile(model).processBatch(x, options.jobs, pre,
-                                       options.executor);
+    return compile(model).processBatch(x, options.jobs, pre);
 }
 
 std::string

@@ -16,7 +16,6 @@ runPlanBacked(const ir::ModelIr &model, const math::Matrix &x,
     // bit-for-bit at any shard width.
     runtime::EngineOptions engine_options;
     engine_options.jobs = options.jobs;
-    engine_options.executor = options.executor;
     runtime::InferenceEngine engine(ir::ExecutablePlan::compile(model),
                                     engine_options);
     if (options.quantCache != nullptr && options.quantCache->covers(x))

@@ -20,7 +20,6 @@
 #include "ir/model_ir.hpp"
 
 namespace homunculus::runtime {
-class Executor;
 class QuantCache;
 }
 
@@ -61,17 +60,13 @@ struct EvalOptions
     /** Optional format-keyed quantization cache; used only when it is
      *  bound to the exact matrix being evaluated. */
     const runtime::QuantCache *quantCache = nullptr;
-    /** Worker pool the shards run on (nullptr = the process-default
-     *  runtime::Executor); compile-time search and serving-time
-     *  inference share one pool instead of competing spawns. */
-    runtime::Executor *executor = nullptr;
 };
 
 /**
  * The plan-backed execution every non-MAT simulator shares: compile the
  * model into an ir::ExecutablePlan once, shard the batch across
  * @p options.jobs cores, and reuse @p options.quantCache when it covers
- * @p x. Platform::evaluate's default and the Taurus stream simulator
+ * @p x. Platform::evaluate's default and MapReduceSimulator::runStream
  * both dispatch through here so the cache-eligibility and sharding
  * rules cannot drift apart.
  */

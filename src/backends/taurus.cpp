@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "backends/mapreduce_sim.hpp"
 #include "backends/registry.hpp"
 #include "backends/spatial_codegen.hpp"
 #include "common/string_util.hpp"
@@ -145,14 +144,6 @@ TaurusPlatform::estimate(const ir::ModelIr &model) const
             constraints_.maxLatencyNs);
     }
     return report;
-}
-
-std::vector<int>
-TaurusPlatform::evaluate(const ir::ModelIr &model, const math::Matrix &x,
-                         const EvalOptions &options) const
-{
-    MapReduceSimulator sim(config_);
-    return sim.runStream(model, x, options).labels;
 }
 
 std::string

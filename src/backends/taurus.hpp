@@ -64,9 +64,6 @@ class TaurusPlatform : public Platform
     std::string name() const override { return "taurus"; }
     AlgorithmSupport supports(ir::ModelKind kind) const override;
     ResourceReport estimate(const ir::ModelIr &model) const override;
-    std::vector<int> evaluate(const ir::ModelIr &model,
-                              const math::Matrix &x,
-                              const EvalOptions &options = {}) const override;
     std::string generateCode(const ir::ModelIr &model) const override;
     PlatformPtr withBudget(const ResourceBudget &budget) const override;
 

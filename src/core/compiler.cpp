@@ -145,7 +145,6 @@ prepareFamily(FamilyRun &run, const backends::Platform &target,
     item.slot->algorithm = item.algorithm;
     run.eval.jobs = options.inferJobs;
     run.eval.quantCache = item.quantCache;
-    run.eval.executor = options.executor;
 
     opt::BoConfig bo_config = options.bo;
     bo_config.seed = options.seed ^
@@ -266,9 +265,7 @@ runFamilySearches(const std::vector<FamilyWork> &work,
     std::function<bool()> should_stop = [token] {
         return token.cancelRequested();
     };
-    runtime::Executor &pool =
-        options.executor != nullptr ? *options.executor
-                                    : runtime::Executor::processDefault();
+    runtime::Executor &pool = runtime::Executor::processDefault();
 
     // Families and their warm-up tasks, flattened family-major.
     std::vector<FamilyRun> runs(work.size());
@@ -723,10 +720,8 @@ CompileSession::emit()
     for (GeneratedModel &model : report_.models) {
         if (Status status = runEmitPasses(options_, target, model); !status)
             return status;
-        if (options_.emitCode) {
-            if (Status status = emitModelCode(target, model); !status)
-                return status;
-        }
+        if (Status status = emitModelCode(target, model); !status)
+            return status;
         ProgressEvent event;
         event.stage = Stage::kEmit;
         event.specName = model.specName;

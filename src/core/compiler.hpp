@@ -11,9 +11,10 @@
  * and report Status values with per-spec diagnostics instead of silent
  * booleans. Sessions support a progress-observer callback, cooperative
  * cancellation via CancellationToken, and run the per-family Bayesian-
- * optimization searches of each spec concurrently on a small thread pool
- * (results are bit-identical for a fixed seed regardless of thread count:
- * every family search derives its own seed and owns all of its state).
+ * optimization searches of each spec concurrently on the process-default
+ * runtime::Executor, which serving-time inference shares (results are
+ * bit-identical for a fixed seed regardless of thread count: every
+ * family search derives its own seed and owns all of its state).
  * Compiler::compile() runs every stage in one call.
  */
 #pragma once
@@ -34,7 +35,6 @@
 #include "ir/passes.hpp"
 
 namespace homunculus::runtime {
-class Executor;
 class QuantCache;
 }
 
@@ -97,7 +97,6 @@ struct CompileOptions
      */
     opt::BoConfig bo;
     std::uint64_t seed = 9;      ///< training/search determinism.
-    bool emitCode = true;        ///< run the backend code generator.
     /**
      * Search pool width (0 = #cores): every family's warm-up candidates
      * go out as one flat dispatch, then the per-family guided phases.
@@ -112,16 +111,6 @@ struct CompileOptions
      * bit-identical at any width.
      */
     std::size_t inferJobs = 1;
-    /**
-     * Worker pool the session dispatches on — both the `jobs`-wide
-     * family-search fan-out and every candidate's `inferJobs`-wide
-     * scoring shards (threaded down through EvalOptions). nullptr means
-     * the process-default runtime::Executor, which serving-time
-     * inference shares too, so search and serving draw from one
-     * long-lived pool instead of competing spawns. Results never depend
-     * on the pool.
-     */
-    runtime::Executor *executor = nullptr;
     ProgressObserver observer;   ///< optional stage/search callback.
     CancellationToken cancelToken;  ///< cancel from any thread.
 
@@ -200,8 +189,7 @@ class CompileSession
     /**
      * Stage 5: run the IR pass pipeline (CompileOptions::emitPasses or
      * the default optimization pipeline) on every winning model,
-     * refresh its resource report, then generate backend code (codegen
-     * skipped when !emitCode).
+     * refresh its resource report, then generate backend code.
      */
     Status emit();
 

@@ -310,58 +310,6 @@ ExecutablePlan::runMlpRangeI8(const math::Matrix *x,
 }
 
 void
-ExecutablePlan::runTreeRange(const math::Matrix *x,
-                             const QuantizedMatrix *qx,
-                             std::size_t row_begin, std::size_t row_end,
-                             int *labels, Scratch &scratch,
-                             const kernels::KernelOps &ops) const
-{
-    // Blocked descent: kTreeLanes rows walk the SoA node arrays
-    // together (vectorized compare+select per level) instead of the
-    // branchy per-row loop; a lane that reaches its leaf early just
-    // stops advancing while the group finishes.
-    constexpr std::size_t kLanes = kernels::kTreeLanes;
-    scratch.quantized.resize(kLanes * inputDim_);
-    std::int32_t *quantized = scratch.quantized.data();
-
-    kernels::TreeTraverseArgs args;
-    args.nodeFeature = nodeFeature_.data();
-    args.nodeThreshold = nodeThreshold_.data();
-    args.nodeLeft = nodeLeft_.data();
-    args.nodeRight = nodeRight_.data();
-    args.nodeLabel = nodeLabel_.data();
-
-    std::size_t base = row_begin;
-    for (; base + kLanes <= row_end; base += kLanes) {
-        if (qx != nullptr) {
-            for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                const std::int32_t *q = qx->rowPtr(base + lane);
-                for (std::size_t in = 0; in < inputDim_; ++in)
-                    quantized[in * kLanes + lane] = q[in];
-            }
-        } else {
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                format_.quantizeInto(x->rowPtr(base + lane),
-                                     &quantized[lane], inputDim_, kLanes);
-        }
-        args.input = quantized;
-        args.labels = labels + (base - row_begin);
-        ops.treeTraverse(args);
-    }
-
-    for (; base < row_end; ++base) {
-        const std::int32_t *q;
-        if (qx != nullptr) {
-            q = qx->rowPtr(base);
-        } else {
-            quantizeRow(x->rowPtr(base), quantized);
-            q = quantized;
-        }
-        labels[base - row_begin] = inferTree(q);
-    }
-}
-
-void
 ExecutablePlan::runMlpRangeWide(const math::Matrix *x,
                                 const QuantizedMatrix *qx,
                                 std::size_t row_begin, std::size_t row_end,
@@ -618,11 +566,6 @@ ExecutablePlan::runRangeImpl(const math::Matrix *x,
         runMlpRangeWide(x, qx, row_begin, row_end, labels, scratch);
         return;
     }
-    if (kind_ == ModelKind::kDecisionTree) {
-        runTreeRange(x, qx, row_begin, row_end, labels, scratch, ops);
-        return;
-    }
-
     if (scratch.quantized.size() < inputDim_)
         scratch.quantized.resize(inputDim_);
     for (std::size_t r = row_begin; r < row_end; ++r) {

@@ -43,7 +43,8 @@
  * and only its live lanes' labels are written (the padded-lane contract
  * in kernels/kernel_api.hpp). Lanes never interact, so padding cannot
  * change a verdict, and a short serving batch costs one vector group
- * instead of one scalar row each. Tree ranges keep their per-row tail.
+ * instead of one scalar row each. Trees, KMeans and SVM run one row at
+ * a time; an 8-row blocked tree descent lost to the per-row walk.
  */
 #pragma once
 
@@ -155,9 +156,10 @@ class ExecutablePlan
 
     /**
      * Pin this plan to one kernel target instead of the process-wide
-     * KernelDispatch resolution — the per-plan knob behind
-     * EngineOptions::forceScalarKernels and the differential tests
-     * that execute several targets side by side. Labels never change
+     * KernelDispatch resolution — the per-plan knob behind the
+     * differential tests and benches that execute several targets side
+     * by side (an InferenceEngine built from the plan follows the pin
+     * and labels its telemetry with it). Labels never change
      * (every target is bit-identical); only the instruction mix does.
      * @throws std::runtime_error when the target is unavailable here.
      */
@@ -207,11 +209,6 @@ class ExecutablePlan
     void runMlpRangeWide(const math::Matrix *x, const QuantizedMatrix *qx,
                          std::size_t row_begin, std::size_t row_end,
                          int *labels, Scratch &scratch) const;
-    /** Blocked tree traversal (kTreeLanes rows per descent). */
-    void runTreeRange(const math::Matrix *x, const QuantizedMatrix *qx,
-                      std::size_t row_begin, std::size_t row_end,
-                      int *labels, Scratch &scratch,
-                      const kernels::KernelOps &ops) const;
     void runRangeImpl(const math::Matrix *x, const QuantizedMatrix *qx,
                       std::size_t row_begin, std::size_t row_end,
                       int *labels, Scratch &scratch) const;

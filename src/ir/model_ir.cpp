@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ir/exec_plan.hpp"
 #include "ir/passes.hpp"
 
 namespace homunculus::ir {
@@ -284,12 +283,6 @@ executeIr(const ModelIr &ir, const std::vector<double> &features)
       case ModelKind::kDecisionTree: return executeTree(ir, features);
     }
     return 0;
-}
-
-std::vector<int>
-executeIrBatch(const ModelIr &ir, const math::Matrix &x)
-{
-    return ExecutablePlan::compile(ir).run(x);
 }
 
 }  // namespace homunculus::ir

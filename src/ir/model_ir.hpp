@@ -152,11 +152,4 @@ ModelIr lowerDecisionTree(const ml::DecisionTreeClassifier &tree,
  */
 int executeIr(const ModelIr &ir, const std::vector<double> &features);
 
-/**
- * Batch form of executeIr over a feature matrix. Thin shim over
- * ir::ExecutablePlan (compile once, run batched) — kept so existing
- * callers get the batched path without changes.
- */
-std::vector<int> executeIrBatch(const ModelIr &ir, const math::Matrix &x);
-
 }  // namespace homunculus::ir

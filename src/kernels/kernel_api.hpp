@@ -3,12 +3,13 @@
  * The kernel ABI between ExecutablePlan / MatPipeline and the
  * ISA-specific kernel TUs.
  *
- * Every hot loop the plan executes — the narrow-format GEMM lanes, the
- * blocked tree descent, the KMeans/SVM reductions, the MAT range-match
- * binary search — is expressed here as a C-style function pointer over
- * flat argument structs. `KernelDispatch` (kernel_dispatch.hpp) probes
- * the host once and hands out one immutable `KernelOps` table; the
- * callers never name an ISA.
+ * Every vectorizable hot loop the plan executes — the narrow-format GEMM
+ * lanes, the KMeans/SVM reductions, the MAT range-match binary search —
+ * is expressed here as a C-style function pointer over flat argument
+ * structs. `KernelDispatch` (kernel_dispatch.hpp) probes the host once
+ * and hands out one immutable `KernelOps` table; the callers never name
+ * an ISA. Trees have no entry: they walk one row at a time in
+ * ExecutablePlan.
  *
  * The contract every implementation must honor: **bit-identical to the
  * scalar reference** (kernels_scalar.cpp, which itself mirrors
@@ -49,9 +50,6 @@ constexpr std::size_t kDenseLanes32 = 8;
 /** Rows processed together by the int16-arithmetic dense kernel: one
  *  256-bit register of int16 lanes (the int8-weight fast path). */
 constexpr std::size_t kDenseLanes16 = 16;
-
-/** Rows traversed together by the blocked tree kernel. */
-constexpr std::size_t kTreeLanes = 8;
 
 /**
  * One dense layer over kDenseLanes32 interleaved rows, int32 MACs
@@ -115,24 +113,6 @@ struct DenseI16Args
 };
 
 /**
- * Blocked tree traversal: kTreeLanes rows descend the SoA node arrays
- * together (compare+select per level) until every lane sits on a leaf
- * (left < 0). `input` is lane-interleaved quantized features
- * (`feature * kTreeLanes + lane`); per lane the descent replays
- * `go_left = q[feature[i]] <= threshold[i]` exactly.
- */
-struct TreeTraverseArgs
-{
-    const std::int32_t *input;          ///< dim x kTreeLanes, interleaved.
-    const std::int32_t *nodeFeature;
-    const std::int32_t *nodeThreshold;
-    const std::int32_t *nodeLeft;       ///< < 0 == leaf.
-    const std::int32_t *nodeRight;
-    const std::int32_t *nodeLabel;
-    int *labels;                        ///< kTreeLanes outputs.
-};
-
-/**
  * The per-target kernel table. Entries an ISA TU leaves null are
  * patched with the scalar reference at dispatch-resolution time, so a
  * target may accelerate only the kernels its ISA is good at.
@@ -153,8 +133,6 @@ struct KernelOps
                       int *labels) = nullptr;
     void (*argmaxI16)(const std::int16_t *scores, std::size_t classes,
                       int *labels) = nullptr;
-
-    void (*treeTraverse)(const TreeTraverseArgs &args) = nullptr;
 
     /** Sum of squared int64 differences over n int32 elements (exact
      *  for narrow formats: |q - c| fits int32). */

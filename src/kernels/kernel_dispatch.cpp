@@ -80,7 +80,6 @@ completedLocked(DispatchState &s, KernelTarget target)
         if (raw->denseI16) table.denseI16 = raw->denseI16;
         if (raw->argmaxI32) table.argmaxI32 = raw->argmaxI32;
         if (raw->argmaxI16) table.argmaxI16 = raw->argmaxI16;
-        if (raw->treeTraverse) table.treeTraverse = raw->treeTraverse;
         if (raw->squaredDist) table.squaredDist = raw->squaredDist;
         if (raw->kmeansArgmin) table.kmeansArgmin = raw->kmeansArgmin;
         if (raw->svmArgmaxNarrow)

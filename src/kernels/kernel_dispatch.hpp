@@ -9,8 +9,8 @@
  *
  *   HOMUNCULUS_KERNELS=scalar|avx2|auto   (env, read at first use)
  *   homc --kernel scalar|avx2|auto        (forces via force())
- *   EngineOptions::forceScalarKernels     (per-engine, via
- *                                          ExecutablePlan::forceKernelTarget)
+ *   ExecutablePlan::forceKernelTarget     (per-plan; an engine built
+ *                                          from the plan follows it)
  *
  * Requesting a target the host can't run (or a bogus env value) is an
  * error, not a silent fallback — benchmarks and differential tests must

@@ -17,8 +17,9 @@
  *    and discard the padded lanes' outputs (ExecutablePlan has no
  *    scalar tail for narrow and int8 MLPs). These kernels ignore
  *    liveLanes: a whole register costs the same as part of one.
- *  - There is no tree-descent entry: the 8-lane gather kernel measured
- *    0.7x the scalar per-lane walk, so the table falls back to scalar.
+ *  - There is no tree-descent entry: an 8-lane gather kernel measured
+ *    0.7x the scalar per-lane walk, so trees walk one row at a time in
+ *    ExecutablePlan, outside the kernel table.
  *  - _mm256_madd_epi16 is deliberately not used: it sums adjacent
  *    products before the per-term clamp, which breaks the
  *    rawMin/rawMax saturation semantics.

@@ -132,23 +132,6 @@ argmaxI16Scalar(const std::int16_t *scores, std::size_t classes,
     }
 }
 
-void
-treeTraverseScalar(const TreeTraverseArgs &args)
-{
-    for (std::size_t lane = 0; lane < kTreeLanes; ++lane) {
-        std::size_t index = 0;
-        while (args.nodeLeft[index] >= 0) {
-            auto feature =
-                static_cast<std::size_t>(args.nodeFeature[index]);
-            bool go_left = args.input[feature * kTreeLanes + lane] <=
-                           args.nodeThreshold[index];
-            index = static_cast<std::size_t>(
-                go_left ? args.nodeLeft[index] : args.nodeRight[index]);
-        }
-        args.labels[lane] = args.nodeLabel[index];
-    }
-}
-
 std::int64_t
 squaredDistScalar(const std::int32_t *q, const std::int32_t *centroid,
                   std::size_t n)
@@ -231,7 +214,6 @@ scalarOps()
         table.denseI16 = denseI16Scalar;
         table.argmaxI32 = argmaxI32Scalar;
         table.argmaxI16 = argmaxI16Scalar;
-        table.treeTraverse = treeTraverseScalar;
         table.squaredDist = squaredDistScalar;
         table.kmeansArgmin = kmeansArgminScalar;
         table.svmArgmaxNarrow = svmArgmaxNarrowScalar;

@@ -19,11 +19,4 @@ expectedImprovement(double mean, double variance, double best, bool maximize,
     return improvement * math::normalCdf(z) + sigma * math::normalPdf(z);
 }
 
-double
-confidenceBound(double mean, double variance, bool maximize, double beta)
-{
-    double sigma = std::sqrt(std::max(variance, 0.0));
-    return maximize ? mean + beta * sigma : -(mean - beta * sigma);
-}
-
 }  // namespace homunculus::opt

@@ -25,11 +25,4 @@ namespace homunculus::opt {
 double expectedImprovement(double mean, double variance, double best,
                            bool maximize, double xi = 0.01);
 
-/**
- * Upper/lower confidence bound (exploration knob beta).
- * Used by the ablation bench to contrast acquisition choices.
- */
-double confidenceBound(double mean, double variance, bool maximize,
-                       double beta = 2.0);
-
 }  // namespace homunculus::opt

@@ -34,14 +34,13 @@ Executor::Executor(std::size_t jobs)
 
 Executor::~Executor()
 {
-    shutdown();
-}
-
-std::size_t
-Executor::parallelism() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return target_;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;  // workers exit at their next wait.
+    }
+    workCv_.notify_all();
+    for (std::thread &thread : threads_)
+        thread.join();
 }
 
 std::size_t
@@ -78,9 +77,8 @@ Executor::ensureWorkersLocked(std::size_t wanted)
     // the process (the submitter is always a participant, hence -1).
     wanted = std::min(wanted, target_ > 0 ? target_ - 1 : 0);
     wanted = std::min(wanted, kMaxWorkers);
-    std::uint64_t epoch = epoch_;
     while (threads_.size() < wanted) {
-        threads_.emplace_back([this, epoch] { workerMain(epoch); });
+        threads_.emplace_back([this] { workerMain(); });
         g_threads_spawned.fetch_add(1);
     }
 }
@@ -113,15 +111,14 @@ Executor::runJobTasks(Job &job, std::size_t slot)
 }
 
 void
-Executor::workerMain(std::uint64_t epoch)
+Executor::workerMain()
 {
     t_on_worker_thread = true;
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        workCv_.wait(lock,
-                     [&] { return epoch != epoch_ || !queue_.empty(); });
-        if (epoch != epoch_)
-            return;  // retired by resize()/shutdown().
+        workCv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+        if (stopping_)
+            return;  // the destructor is joining the pool.
 
         Job *job = queue_.front();
         if (job->next.load() >= job->numTasks) {
@@ -154,7 +151,7 @@ Executor::run(std::size_t width, std::size_t num_tasks, const TaskFn &fn)
     // Clamp at the configured parallelism too: a wider request would
     // only queue participants the pool will never provide, and the
     // whole point of the shared pool is that no caller oversubscribes.
-    width = std::min({resolve(width), num_tasks, parallelism()});
+    width = std::min({resolve(width), num_tasks, target_});
 
     // Inline path: trivial dispatches, and any dispatch issued from a
     // pool worker (nested parallel section) — fanning out again would
@@ -218,7 +215,7 @@ Executor::run(std::size_t width, std::size_t num_tasks, const TaskFn &fn)
 
 void
 Executor::runChunks(std::size_t width, std::size_t count,
-                    std::size_t chunk_size, const common::ChunkFn &fn)
+                    std::size_t chunk_size, const ChunkFn &fn)
 {
     if (count == 0)
         return;
@@ -230,33 +227,6 @@ Executor::runChunks(std::size_t width, std::size_t count,
         std::size_t end = std::min(begin + chunk_size, count);
         fn(begin, end, worker);
     });
-}
-
-void
-Executor::shutdown()
-{
-    std::vector<std::thread> retired;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++epoch_;  // workers of older epochs exit at their next wait.
-        retired.swap(threads_);
-    }
-    workCv_.notify_all();
-    for (std::thread &thread : retired)
-        thread.join();
-}
-
-void
-Executor::resize(std::size_t jobs)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        target_ = jobs != 0 ? jobs : hardwareParallelism();
-    }
-    // Restart rather than retarget in place: the old workers drain
-    // whatever they are running and exit; the next dispatch respawns
-    // lazily at the new width.
-    shutdown();
 }
 
 }  // namespace homunculus::runtime

@@ -2,18 +2,15 @@
  * @file
  * Executor: the process's long-lived worker pool.
  *
- * PR 3 measured ~50 us of thread fan-out per parallel dispatch — paid on
- * every micro-batch the serving path classifies and every candidate the
- * search scores, because common::parallelFor spawned fresh std::threads
- * per call. This executor replaces that with one persistent pool:
+ * Spawning fresh std::threads per parallel dispatch cost ~50 us of
+ * fan-out, paid on every micro-batch the serving path classifies and
+ * every candidate the search scores. This executor replaces that with
+ * one persistent pool:
  *
  *  - lazy-started: no threads exist until the first dispatch that can
  *    use them, and the pool grows on demand — never beyond its
  *    configured parallelism, so an oversized jobs knob on one call
  *    cannot pin extra threads for the rest of the process;
- *  - resizable: resize() retargets the width and restarts the workers,
- *    shutdown() drops them entirely; either way the next dispatch
- *    transparently respawns;
  *  - stable worker ids: every dispatch hands each participant a slot id
  *    in [0, width) that is stable for the whole dispatch, so callers
  *    keep indexing per-worker scratch arenas exactly as before;
@@ -30,12 +27,10 @@
  * dispatch completes even when every pool worker is busy elsewhere —
  * concurrent submitters share the pool instead of competing spawns.
  *
- * common::parallelFor / parallelForChunks are thin shims over
- * processDefault(), so every existing call site stopped paying per-batch
- * spawn cost without changing. Code that wants an isolated pool (a
- * latency-critical server next to a background search) constructs its
- * own Executor and threads it through EngineOptions / EvalOptions /
- * CompileOptions.
+ * Every parallel section in the tree (engine row shards, MAT walks,
+ * family searches, candidate scoring) dispatches on processDefault(),
+ * so the whole process shares one pool. Workers are joined only when
+ * the Executor is destroyed.
  */
 #pragma once
 
@@ -50,11 +45,19 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
-
 namespace homunculus::runtime {
 
-/** A long-lived, resizable worker pool. */
+/**
+ * Chunked range callback: a contiguous slice [begin, end) of the index
+ * space plus the id (0 <= worker < width) of the participant running
+ * it. The id is stable across every chunk that participant processes,
+ * so callers can index per-worker scratch arenas with it.
+ */
+using ChunkFn =
+    std::function<void(std::size_t begin, std::size_t end,
+                       std::size_t worker)>;
+
+/** A long-lived worker pool. */
 class Executor
 {
   public:
@@ -84,33 +87,26 @@ class Executor
     void run(std::size_t width, std::size_t num_tasks, const TaskFn &fn);
 
     /**
-     * Chunked variant mirroring common::parallelForChunks: fn receives
-     * contiguous [begin, end) slices of [0, count) of up to
-     * @p chunk_size indices plus the participant slot.
+     * Chunked variant for fine-grained loops (row sharding, per-packet
+     * work): fn receives contiguous [begin, end) slices of [0, count)
+     * of up to @p chunk_size indices plus the participant slot, so one
+     * dispatch amortizes over thousands of elements. Chunks run in
+     * order on the caller when the dispatch is inline. An exception
+     * inside fn abandons the rest of that chunk only; the lowest
+     * failing chunk's is rethrown.
+     * @throws std::invalid_argument when chunk_size == 0 and count > 0.
      */
     void runChunks(std::size_t width, std::size_t count,
-                   std::size_t chunk_size, const common::ChunkFn &fn);
+                   std::size_t chunk_size, const ChunkFn &fn);
 
     /** The configured target width (the constructor's jobs, resolved). */
-    std::size_t parallelism() const;
+    std::size_t parallelism() const { return target_; }
 
     /** Resolve a caller-facing jobs knob: 0 -> parallelism(). */
     std::size_t resolve(std::size_t jobs) const
     {
         return jobs != 0 ? jobs : parallelism();
     }
-
-    /**
-     * Retarget the pool width (0 = hardware) and restart: current
-     * workers drain their in-flight work and exit; the next dispatch
-     * lazily respawns at the new width. Blocks until the old workers
-     * joined.
-     */
-    void resize(std::size_t jobs);
-
-    /** Drop every worker (join them); the pool stays usable — the next
-     *  dispatch lazily respawns. */
-    void shutdown();
 
     /** Currently live pool threads (excludes submitting threads). */
     std::size_t liveWorkers() const;
@@ -125,9 +121,8 @@ class Executor
     static std::uint64_t threadsSpawned();
 
     /**
-     * The process-default executor shared by common::parallelFor /
-     * parallelForChunks and every EngineOptions/EvalOptions/
-     * CompileOptions with executor == nullptr. Sized to the hardware;
+     * The process-default executor every engine, MAT walk, platform
+     * evaluation and compile dispatches on. Sized to the hardware;
      * also the single place a jobs value of 0 resolves (hoisted out of
      * the old per-call-site hardware_concurrency lookups).
      */
@@ -150,7 +145,7 @@ class Executor
         std::vector<std::string> errors;   ///< per-task messages.
     };
 
-    void workerMain(std::uint64_t epoch);
+    void workerMain();
     void runJobTasks(Job &job, std::size_t slot);
     void ensureWorkersLocked(std::size_t wanted);
     void eraseQueuedLocked(Job *job);
@@ -160,8 +155,8 @@ class Executor
     std::condition_variable doneCv_;   ///< submitters wait for active==0.
     std::deque<Job *> queue_;          ///< jobs still accepting helpers.
     std::vector<std::thread> threads_;
-    std::size_t target_ = 1;           ///< configured width, resolved.
-    std::uint64_t epoch_ = 0;  ///< bumped to retire the current workers.
+    const std::size_t target_;         ///< configured width, resolved.
+    bool stopping_ = false;            ///< set once, by the destructor.
 };
 
 }  // namespace homunculus::runtime

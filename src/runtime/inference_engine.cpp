@@ -12,13 +12,6 @@ namespace {
 /** Smallest shard worth a dispatch; keeps stitching overhead trivial. */
 constexpr std::size_t kMinShardRows = 256;
 
-Executor &
-poolFor(const EngineOptions &options)
-{
-    return options.executor != nullptr ? *options.executor
-                                       : Executor::processDefault();
-}
-
 /**
  * Shard [0, rows) over the pool and execute via @p run_range, which is
  * ExecutablePlan::runRange bound to either a double or a pre-quantized
@@ -28,11 +21,11 @@ poolFor(const EngineOptions &options)
  */
 template <typename RunRange>
 void
-runSharded(Executor &pool, std::size_t jobs, std::size_t rows,
-           std::size_t shard_rows, const RunRange &run_range)
+runSharded(std::size_t jobs, std::size_t rows, std::size_t shard_rows,
+           const RunRange &run_range)
 {
     std::vector<ir::ExecutablePlan::Scratch> scratches(jobs);
-    pool.runChunks(
+    Executor::processDefault().runChunks(
         jobs, rows, shard_rows,
         [&](std::size_t begin, std::size_t end, std::size_t worker) {
             run_range(begin, end, scratches[worker]);
@@ -45,17 +38,14 @@ InferenceEngine::InferenceEngine(ir::ExecutablePlan plan,
                                  EngineOptions options)
     : plan_(std::move(plan)), options_(options)
 {
-    // The engine owns its plan copy, so pinning the kernel target here
-    // never affects other consumers of the same compiled model.
-    if (options_.forceScalarKernels)
-        plan_.forceKernelTarget(kernels::KernelTarget::kScalar);
-    // Per-target throughput counters in the global registry. A
-    // scalar-pinned engine never touches KernelDispatch (its label is
-    // known); everything else resolves the active target — which any
-    // run() would have resolved anyway.
+    // Per-target throughput counters in the global registry. A pinned
+    // plan never touches KernelDispatch (its table is known); every
+    // other plan resolves the active target — which any run() would
+    // have resolved anyway.
+    const kernels::KernelOps *pinned = plan_.forcedKernels();
     const char *target =
-        options_.forceScalarKernels
-            ? kernels::kernelTargetName(kernels::KernelTarget::kScalar)
+        pinned != nullptr
+            ? kernels::kernelTargetName(pinned->target)
             : kernels::kernelTargetName(kernels::KernelDispatch::active());
     telemetry::MetricRegistry &reg = telemetry::MetricRegistry::global();
     batchesCounter_ = &reg.counter("engine.batches", {{"target", target}});
@@ -71,7 +61,7 @@ InferenceEngine::fromModel(const ir::ModelIr &model, EngineOptions options)
 std::size_t
 InferenceEngine::jobs() const
 {
-    return poolFor(options_).resolve(options_.jobs);
+    return Executor::processDefault().resolve(options_.jobs);
 }
 
 std::size_t
@@ -107,8 +97,7 @@ InferenceEngine::run(const math::Matrix &x, int *labels,
         plan_.runRange(x, 0, x.rows(), labels, scratch);
         return;
     }
-    runSharded(poolFor(options_), workers, x.rows(),
-               shardRowsFor(x.rows()),
+    runSharded(workers, x.rows(), shardRowsFor(x.rows()),
                [&](std::size_t begin, std::size_t end,
                    ir::ExecutablePlan::Scratch &scratch) {
                    plan_.runRange(x, begin, end, labels + begin, scratch);
@@ -126,8 +115,7 @@ InferenceEngine::run(const ir::QuantizedMatrix &x, int *labels) const
         plan_.runRange(x, 0, x.rows(), labels, scratch);
         return;
     }
-    runSharded(poolFor(options_), workers, x.rows(),
-               shardRowsFor(x.rows()),
+    runSharded(workers, x.rows(), shardRowsFor(x.rows()),
                [&](std::size_t begin, std::size_t end,
                    ir::ExecutablePlan::Scratch &scratch) {
                    plan_.runRange(x, begin, end, labels + begin, scratch);

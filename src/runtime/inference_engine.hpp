@@ -5,7 +5,7 @@
  * PR 2 made batch inference compile-then-execute; this engine makes it
  * scale across cores, the same data-parallel row sharding MapReduce-style
  * operator frameworks (ASAP) use. A batch is split into contiguous row
- * shards, fanned out over common::parallelForChunks, and each worker
+ * shards, fanned out over Executor::processDefault(), and each worker
  * executes the shared immutable plan with its own Scratch arena, writing
  * labels directly into that shard's slice of the output vector — so the
  * stitched result preserves row order and is bit-identical to the
@@ -32,8 +32,6 @@
 
 namespace homunculus::runtime {
 
-class Executor;
-
 /** Execution knobs of an engine. */
 struct EngineOptions
 {
@@ -53,19 +51,6 @@ struct EngineOptions
     /** Upper bound on rows per shard (smaller shards balance better;
      *  the engine also never makes fewer than ~4 shards per worker). */
     std::size_t maxShardRows = 4096;
-    /** Worker pool to shard on (nullptr = the process-default
-     *  Executor). Labels never depend on the pool. */
-    Executor *executor = nullptr;
-    /**
-     * Pin this engine's plan to the scalar kernel table regardless of
-     * the process-wide KernelDispatch resolution (CPU probe /
-     * HOMUNCULUS_KERNELS / homc --kernel). Labels never change —
-     * every kernel target is bit-identical by contract — so this is a
-     * test/bench knob: differential suites and the micro-kernel bench
-     * run a scalar-pinned engine next to a vectorized one in one
-     * process.
-     */
-    bool forceScalarKernels = false;
 };
 
 /** A compiled plan plus the parallel execution policy for it. */
@@ -115,7 +100,9 @@ class InferenceEngine
     EngineOptions options_;
     /** "engine.rows"/"engine.batches" {target=scalar|avx2} in the
      *  process-global telemetry registry, resolved once at
-     *  construction (stable pointers; engine copies share them). */
+     *  construction (stable pointers; engine copies share them). The
+     *  target is the plan's pinned table (ExecutablePlan::
+     *  forceKernelTarget) when it has one, else the active dispatch. */
     telemetry::Counter *rowsCounter_ = nullptr;
     telemetry::Counter *batchesCounter_ = nullptr;
 };

@@ -26,14 +26,13 @@ ModelRegistry::count(const char *event, const std::string &name) const
 
 std::uint64_t
 ModelRegistry::load(const std::string &name, const ir::ModelIr &model,
-                    bool activate_if_first,
-                    const std::optional<EngineOptions> &engine_options)
+                    bool activate_if_first)
 {
     // Compile outside the lock: plan compilation is the expensive part
     // and must not stall concurrent active() lookups on the serving
     // path.
-    InferenceEngine engine = InferenceEngine::fromModel(
-        model, engine_options.value_or(engineOptions_));
+    InferenceEngine engine = InferenceEngine::fromModel(model,
+                                                        engineOptions_);
     std::optional<ml::StandardScaler> scaler;
     if (model.hasScaler())
         scaler = ml::StandardScaler::fromMoments(model.scalerMeans,
@@ -83,14 +82,12 @@ ModelRegistry::install(const std::string &name, InferenceEngine engine,
 
 std::uint64_t
 ModelRegistry::loadFile(const std::string &name, const std::string &path,
-                        bool activate_if_first,
-                        const std::optional<EngineOptions> &engine_options)
+                        bool activate_if_first)
 {
     // The artifact-read fault site models a torn/unreadable file: it
     // throws before any parse work, like a disk error would.
     faults::FaultInjector::global().maybe(faults::kSiteArtifactRead);
-    return load(name, ir::loadModel(path), activate_if_first,
-                engine_options);
+    return load(name, ir::loadModel(path), activate_if_first);
 }
 
 const ModelRegistry::Entry &

@@ -85,7 +85,9 @@ class ModelRegistry
 {
   public:
     /** @param engine_options execution policy every loaded model's
-     *  engine is built with (jobs, inline threshold, pool).
+     *  engine is built with (jobs, inline threshold, shard size). A
+     *  model that needs other options (a kernel-pinned plan, its own
+     *  shard thresholds) is built by the caller and install()ed.
      *  @param metrics registry the control-plane event counters land
      *  in ("registry.loads" {model=name}, .swaps, .pins, .unloads).
      *  nullptr (the default) uses the process-global registry — model
@@ -105,19 +107,9 @@ class ModelRegistry
      * @throws std::runtime_error when the model is invalid or is not a
      *         drop-in for the name (input width / class count differ
      *         from version 1).
-     *
-     * @param engine_options per-load execution policy override: a
-     *        probe-lane model can reserve its own executor / shard
-     *        thresholds (or pin scalar kernels) while the rest of the
-     *        fleet keeps the registry-wide defaults. nullopt = the
-     *        registry's shared options. The override is per *version*:
-     *        reloading a name can change its policy along with its
-     *        weights.
      */
     std::uint64_t load(const std::string &name, const ir::ModelIr &model,
-                       bool activate_if_first = true,
-                       const std::optional<EngineOptions>
-                           &engine_options = std::nullopt);
+                       bool activate_if_first = true);
 
     /**
      * Install an already compiled @p engine (with its optional
@@ -134,9 +126,7 @@ class ModelRegistry
     /** load() from a serialized `homunculus-ir` artifact file. */
     std::uint64_t loadFile(const std::string &name,
                            const std::string &path,
-                           bool activate_if_first = true,
-                           const std::optional<EngineOptions>
-                               &engine_options = std::nullopt);
+                           bool activate_if_first = true);
 
     /**
      * Atomically make @p version the one active() returns for @p name.

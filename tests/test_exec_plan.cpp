@@ -22,12 +22,14 @@
 #include "ir/exec_plan.hpp"
 #include "ir/passes.hpp"
 #include "ir/serialize.hpp"
+#include "interpret_rows.hpp"
 
 namespace hb = homunculus::backends;
 namespace hc = homunculus::common;
 namespace hi = homunculus::ir;
 namespace hm = homunculus::math;
 namespace ml = homunculus::ml;
+using homunculus::test::interpretRows;
 
 namespace {
 
@@ -164,15 +166,6 @@ allFamilies(std::uint64_t seed)
     };
 }
 
-std::vector<int>
-interpretRows(const hi::ModelIr &model, const hm::Matrix &x)
-{
-    std::vector<int> labels(x.rows());
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        labels[r] = hi::executeIr(model, x.row(r));
-    return labels;
-}
-
 }  // namespace
 
 TEST(ExecPlan, BitIdenticalToInterpreterAcrossFamilies)
@@ -198,14 +191,6 @@ TEST(ExecPlan, RunRowMatchesInterpreterPerRow)
             EXPECT_EQ(plan.runRow(row.data(), row.size()),
                       hi::executeIr(model, row));
         }
-    }
-}
-
-TEST(ExecPlan, ExecuteIrBatchShimMatchesScalarInterpreter)
-{
-    for (const hi::ModelIr &model : allFamilies(101)) {
-        auto x = randomFeatures(100, model.inputDim, 9);
-        EXPECT_EQ(hi::executeIrBatch(model, x), interpretRows(model, x));
     }
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for runtime::Executor, the persistent worker pool under every
- * parallel dispatch: lifecycle (lazy start, resize/restart, shutdown),
- * deterministic lowest-index exception rethrow under pool reuse,
- * concurrent submitters sharing one pool, nested-dispatch inlining (the
- * oversubscription fix), and the spawn-count guarantee — zero thread
- * creations per batch once the pool is warm.
+ * parallel dispatch: lazy start, chunked dispatch (coverage, contiguous
+ * chunk boundaries, edge cases), deterministic lowest-index exception
+ * rethrow under pool reuse, concurrent submitters sharing one pool,
+ * nested-dispatch inlining (the oversubscription fix), and the
+ * spawn-count guarantee — zero thread creations per batch once the pool
+ * is warm.
  *
  * These run under TSAN in CI alongside the engine/harness tests.
  */
@@ -14,14 +15,14 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/inference_engine.hpp"
 
-namespace hc = homunculus::common;
 namespace hi = homunculus::ir;
 namespace hm = homunculus::math;
 namespace hr = homunculus::runtime;
@@ -63,21 +64,69 @@ TEST(Executor, LazyStartAndDispatchAtSeveralWidths)
     expectDispatchCovers(executor, 3, 7);     // width > tasks clamps.
 }
 
-TEST(Executor, RestartAfterResizeAndShutdown)
+TEST(Executor, ChunksCoverEveryIndexExactlyOnce)
 {
-    hr::Executor executor(4);
-    expectDispatchCovers(executor, 4, 500);
-    EXPECT_GT(executor.liveWorkers(), 0u);
+    hr::Executor &pool = hr::Executor::processDefault();
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<std::atomic<int>> hits(1000);
+        std::atomic<bool> bad_worker{false};
+        pool.runChunks(
+            jobs, hits.size(), 64,
+            [&](std::size_t begin, std::size_t end, std::size_t worker) {
+                if (worker >= pool.resolve(jobs))
+                    bad_worker = true;
+                for (std::size_t i = begin; i < end; ++i)
+                    hits[i].fetch_add(1);
+            });
+        EXPECT_FALSE(bad_worker.load());
+        for (const auto &hit : hits)
+            EXPECT_EQ(hit.load(), 1);
+    }
+}
 
-    executor.resize(2);
-    EXPECT_EQ(executor.parallelism(), 2u);
-    EXPECT_EQ(executor.liveWorkers(), 0u);  // restart dropped workers.
-    expectDispatchCovers(executor, 0, 500);  // respawns lazily at 2.
-    EXPECT_LE(executor.liveWorkers(), 1u);   // caller + 1 helper.
+TEST(Executor, ChunkBoundariesAreContiguousAndSized)
+{
+    // Single-threaded so ordering is observable: chunks must arrive in
+    // order, sized chunk_size except the tail.
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    hr::Executor::processDefault().runChunks(
+        1, 10, 4,
+        [&](std::size_t begin, std::size_t end, std::size_t worker) {
+            EXPECT_EQ(worker, 0u);
+            chunks.emplace_back(begin, end);
+        });
+    std::vector<std::pair<std::size_t, std::size_t>> expected = {
+        {0, 4}, {4, 8}, {8, 10}};
+    EXPECT_EQ(chunks, expected);
+}
 
-    executor.shutdown();
-    EXPECT_EQ(executor.liveWorkers(), 0u);
-    expectDispatchCovers(executor, 2, 500);  // usable after shutdown.
+TEST(Executor, ChunksRethrowLowestChunkFailure)
+{
+    try {
+        hr::Executor::processDefault().runChunks(
+            4, 100, 10,
+            [&](std::size_t begin, std::size_t, std::size_t) {
+                if (begin == 30 || begin == 70)
+                    throw std::runtime_error("chunk " +
+                                             std::to_string(begin));
+            });
+        FAIL() << "expected runChunks to throw";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "chunk 30");
+    }
+}
+
+TEST(Executor, ChunkEdgeCases)
+{
+    // count == 0 is a no-op; chunk_size == 0 is a contract violation.
+    hr::Executor &pool = hr::Executor::processDefault();
+    pool.runChunks(4, 0, 16, [](std::size_t, std::size_t, std::size_t) {
+        FAIL() << "no chunks expected";
+    });
+    EXPECT_THROW(pool.runChunks(
+                     4, 10, 0,
+                     [](std::size_t, std::size_t, std::size_t) {}),
+                 std::invalid_argument);
 }
 
 TEST(Executor, LowestIndexExceptionDeterministicUnderReuse)
@@ -162,21 +211,19 @@ TEST(Executor, NestedDispatchRunsInlineOnPoolWorkers)
     EXPECT_EQ(hr::Executor::threadsSpawned(), warm_spawned);
 }
 
-TEST(Executor, ParallelForShimsUseTheProcessDefaultPool)
+TEST(Executor, DefaultPoolDispatchesSpawnNoThreadsAfterWarmup)
 {
-    // Warm the default pool, then check repeated shim dispatches create
-    // no threads at all.
-    hc::parallelFor(4, 64, [](std::size_t) {});
+    // Warm the default pool, then check repeated task and chunk
+    // dispatches create no threads at all.
+    hr::Executor &pool = hr::Executor::processDefault();
+    pool.run(4, 64, [](std::size_t, std::size_t) {});
     std::uint64_t warm = hr::Executor::threadsSpawned();
     for (int round = 0; round < 50; ++round) {
-        hc::parallelFor(4, 64, [](std::size_t) {});
-        hc::parallelForChunks(4, 4096, 256,
-                              [](std::size_t, std::size_t,
-                                 std::size_t) {});
+        pool.run(4, 64, [](std::size_t, std::size_t) {});
+        pool.runChunks(4, 4096, 256,
+                       [](std::size_t, std::size_t, std::size_t) {});
     }
     EXPECT_EQ(hr::Executor::threadsSpawned(), warm);
-    EXPECT_EQ(hc::effectiveJobs(0),
-              hr::Executor::processDefault().parallelism());
 }
 
 // The acceptance bar behind the whole refactor: after warm-up, a

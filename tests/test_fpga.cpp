@@ -6,11 +6,13 @@
 
 #include "backends/fpga.hpp"
 #include "ml/mlp.hpp"
+#include "interpret_rows.hpp"
 
 namespace hb = homunculus::backends;
 namespace hi = homunculus::ir;
 namespace ml = homunculus::ml;
 namespace hc = homunculus::common;
+using homunculus::test::interpretRows;
 
 namespace {
 
@@ -85,7 +87,7 @@ TEST(Fpga, EvaluateUsesQuantizedSemantics)
     hb::FpgaPlatform platform;
     auto ir = makeMlpIr(4, {6});
     homunculus::math::Matrix x(10, 4, 0.25);
-    EXPECT_EQ(platform.evaluate(ir, x), hi::executeIrBatch(ir, x));
+    EXPECT_EQ(platform.evaluate(ir, x), interpretRows(ir, x));
 }
 
 TEST(Fpga, SupportsEveryFamily)

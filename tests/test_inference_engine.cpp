@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the multi-core streaming inference runtime: chunked
- * parallel-for semantics, InferenceEngine determinism at every jobs
- * width, concurrent execution of one shared plan, per-format
+ * Tests for the multi-core streaming inference runtime: InferenceEngine
+ * determinism at every jobs width, concurrent execution of one shared plan, per-format
  * quantization caching (bit-exactness included), EvalOptions plumbing
  * through the backends, caller-scratch runRow, and inferJobs
  * determinism through a compile.
@@ -12,7 +11,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <thread>
 
@@ -20,7 +18,6 @@
 #include "backends/mat_platform.hpp"
 #include "backends/taurus.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/compiler.hpp"
 #include "data/anomaly_generator.hpp"
 #include "runtime/inference_engine.hpp"
@@ -162,72 +159,6 @@ allFamilies(std::uint64_t seed)
 }
 
 }  // namespace
-
-// ------------------------------------------------------ parallelForChunks
-
-TEST(ParallelForChunks, CoversEveryIndexExactlyOnce)
-{
-    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-        std::vector<std::atomic<int>> hits(1000);
-        std::atomic<bool> bad_worker{false};
-        hc::parallelForChunks(
-            jobs, hits.size(), 64,
-            [&](std::size_t begin, std::size_t end, std::size_t worker) {
-                if (worker >= hc::effectiveJobs(jobs))
-                    bad_worker = true;
-                for (std::size_t i = begin; i < end; ++i)
-                    hits[i].fetch_add(1);
-            });
-        EXPECT_FALSE(bad_worker.load());
-        for (const auto &hit : hits)
-            EXPECT_EQ(hit.load(), 1);
-    }
-}
-
-TEST(ParallelForChunks, ChunkBoundariesAreContiguousAndSized)
-{
-    // Single-threaded so ordering is observable: chunks must arrive in
-    // order, sized chunk_size except the tail.
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    hc::parallelForChunks(1, 10, 4,
-                          [&](std::size_t begin, std::size_t end,
-                              std::size_t worker) {
-                              EXPECT_EQ(worker, 0u);
-                              chunks.emplace_back(begin, end);
-                          });
-    std::vector<std::pair<std::size_t, std::size_t>> expected = {
-        {0, 4}, {4, 8}, {8, 10}};
-    EXPECT_EQ(chunks, expected);
-}
-
-TEST(ParallelForChunks, RethrowsLowestChunkFailure)
-{
-    try {
-        hc::parallelForChunks(
-            4, 100, 10,
-            [&](std::size_t begin, std::size_t, std::size_t) {
-                if (begin == 30 || begin == 70)
-                    throw std::runtime_error("chunk " +
-                                             std::to_string(begin));
-            });
-        FAIL() << "expected parallelForChunks to throw";
-    } catch (const std::runtime_error &error) {
-        EXPECT_STREQ(error.what(), "chunk 30");
-    }
-}
-
-TEST(ParallelForChunks, EdgeCases)
-{
-    // count == 0 is a no-op; chunk_size == 0 is a contract violation.
-    hc::parallelForChunks(4, 0, 16,
-                          [](std::size_t, std::size_t, std::size_t) {
-                              FAIL() << "no chunks expected";
-                          });
-    EXPECT_THROW(hc::parallelForChunks(
-                     4, 10, 0,
-                     [](std::size_t, std::size_t, std::size_t) {}),
-                 std::invalid_argument);
-}
 
 // ------------------------------------------------------- InferenceEngine
 

@@ -28,6 +28,7 @@
 #include "kernels/kernel_dispatch.hpp"
 #include "runtime/inference_engine.hpp"
 #include "runtime/model_registry.hpp"
+#include "interpret_rows.hpp"
 
 namespace hb = homunculus::backends;
 namespace hc = homunculus::common;
@@ -36,6 +37,7 @@ namespace hk = homunculus::kernels;
 namespace hm = homunculus::math;
 namespace hr = homunculus::runtime;
 namespace ml = homunculus::ml;
+using homunculus::test::interpretRows;
 
 namespace {
 
@@ -205,15 +207,6 @@ allFamilies(const hc::FixedPointFormat &format, std::uint64_t seed)
     };
 }
 
-std::vector<int>
-interpretRows(const hi::ModelIr &model, const hm::Matrix &x)
-{
-    std::vector<int> labels(x.rows());
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        labels[r] = hi::executeIr(model, x.row(r));
-    return labels;
-}
-
 /**
  * The differential core: compile @p model once, pin the plan to each
  * target this host can run, and demand the interpreter's exact labels
@@ -272,7 +265,6 @@ TEST(KernelDispatch, ScalarIsAlwaysAvailable)
         EXPECT_NE(ops->denseI16, nullptr);
         EXPECT_NE(ops->argmaxI32, nullptr);
         EXPECT_NE(ops->argmaxI16, nullptr);
-        EXPECT_NE(ops->treeTraverse, nullptr);
         EXPECT_NE(ops->squaredDist, nullptr);
         EXPECT_NE(ops->kmeansArgmin, nullptr);
         EXPECT_NE(ops->svmArgmaxNarrow, nullptr);
@@ -509,10 +501,12 @@ TEST(KernelEngine, ForceScalarOptionPinsOnlyThatEngine)
     auto model = randomMlpIr(format, 6, {10}, 3, ml::Activation::kRelu, 71);
     auto x = randomFeatures(300, model.inputDim, 72);
 
-    hr::EngineOptions scalar_options;
-    scalar_options.forceScalarKernels = true;
-    hr::InferenceEngine pinned =
-        hr::InferenceEngine::fromModel(model, scalar_options);
+    // Pinning the plan an engine is built from pins that engine alone:
+    // the plan is copied in, and a sibling compiled from the same model
+    // keeps following the process-wide dispatch.
+    hi::ExecutablePlan plan = hi::ExecutablePlan::compile(model);
+    plan.forceKernelTarget(hk::KernelTarget::kScalar);
+    hr::InferenceEngine pinned(plan);
     hr::InferenceEngine dispatched = hr::InferenceEngine::fromModel(model);
 
     ASSERT_NE(pinned.plan().forcedKernels(), nullptr);
@@ -529,16 +523,53 @@ TEST(KernelEngine, RegistryPerLoadOverridePinsScalar)
     const hc::FixedPointFormat format(8, 8);
     auto model = randomSvmIr(format, 6, 3, 81);
     hr::ModelRegistry registry;
-    hr::EngineOptions pinned_options;
-    pinned_options.forceScalarKernels = true;
     std::uint64_t v1 = registry.load("svm", model);
-    std::uint64_t v2 = registry.load("svm", model, true, pinned_options);
+    // A version with its own execution policy is built by the caller
+    // and installed under the same name.
+    hi::ExecutablePlan plan = hi::ExecutablePlan::compile(model);
+    plan.forceKernelTarget(hk::KernelTarget::kScalar);
+    hr::InferenceEngine engine(std::move(plan), registry.engineOptions());
+    std::uint64_t v2 = registry.install("svm", std::move(engine),
+                                        std::nullopt);
     auto dispatched = registry.version("svm", v1);
     auto pinned = registry.version("svm", v2);
     EXPECT_EQ(dispatched->engine.plan().forcedKernels(), nullptr);
     ASSERT_NE(pinned->engine.plan().forcedKernels(), nullptr);
     auto x = randomFeatures(128, model.inputDim, 82);
     EXPECT_EQ(pinned->engine.run(x), dispatched->engine.run(x));
+}
+
+TEST(KernelEngine, TargetLabelFollowsThePlanPin)
+{
+    // A scalar-pinned plan runs the scalar table, so the engine built
+    // from it must count its rows under target=scalar whatever the
+    // host's active dispatch resolves to.
+    auto model = randomMlpIr(hc::FixedPointFormat(4, 4), 6, {10}, 3,
+                             ml::Activation::kRelu, 75);
+    auto x = randomFeatures(37, model.inputDim, 76);
+    hi::ExecutablePlan plan = hi::ExecutablePlan::compile(model);
+    plan.forceKernelTarget(hk::KernelTarget::kScalar);
+    hr::InferenceEngine engine(std::move(plan));
+
+    auto &metrics = hr::telemetry::MetricRegistry::global();
+    auto &scalar_rows =
+        metrics.counter("engine.rows", {{"target", "scalar"}});
+    auto &scalar_batches =
+        metrics.counter("engine.batches", {{"target", "scalar"}});
+    auto &active_rows = metrics.counter(
+        "engine.rows",
+        {{"target",
+          hk::kernelTargetName(hk::KernelDispatch::active())}});
+    const std::uint64_t rows_before = scalar_rows.value();
+    const std::uint64_t batches_before = scalar_batches.value();
+    const std::uint64_t active_before = active_rows.value();
+
+    EXPECT_EQ(engine.run(x), interpretRows(model, x));
+    EXPECT_EQ(scalar_rows.value() - rows_before, x.rows());
+    EXPECT_EQ(scalar_batches.value() - batches_before, 1u);
+    if (&active_rows != &scalar_rows)
+        EXPECT_EQ(active_rows.value(), active_before)
+            << "pinned rows counted under the active target";
 }
 
 TEST(KernelEngine, CallerScratchServesEveryPlanWithoutRegrowing)

@@ -7,12 +7,14 @@
 #include "backends/mat_platform.hpp"
 #include "common/rng.hpp"
 #include "ml/metrics.hpp"
+#include "interpret_rows.hpp"
 
 namespace hb = homunculus::backends;
 namespace hi = homunculus::ir;
 namespace ml = homunculus::ml;
 namespace hm = homunculus::math;
 namespace hc = homunculus::common;
+using homunculus::test::interpretRows;
 
 namespace {
 
@@ -60,7 +62,7 @@ TEST(MatPipeline, KMeansAgreesWithReferenceExecutor)
     auto data = makeBlobs(150, 3, 2);
     auto ir = fitKMeansIr(data.x, 3);
     auto pipeline = hb::MatPipeline::compileKMeans(ir);
-    auto reference = hi::executeIrBatch(ir, data.x);
+    auto reference = interpretRows(ir, data.x);
     for (std::size_t i = 0; i < data.numSamples(); ++i)
         EXPECT_EQ(pipeline.process(data.x.row(i)), reference[i]);
 }
@@ -132,7 +134,7 @@ TEST(MatPipeline, TreeWalkMatchesReferenceExecutor)
     auto ir =
         hi::lowerDecisionTree(tree, hc::FixedPointFormat::q88(), "dt", 3);
     auto pipeline = hb::MatPipeline::compileTree(ir);
-    auto reference = hi::executeIrBatch(ir, data.x);
+    auto reference = interpretRows(ir, data.x);
     for (std::size_t i = 0; i < data.numSamples(); ++i)
         EXPECT_EQ(pipeline.process(data.x.row(i)), reference[i])
             << "row " << i;

@@ -8,11 +8,13 @@
 #include "common/rng.hpp"
 #include "ir/model_ir.hpp"
 #include "ml/metrics.hpp"
+#include "interpret_rows.hpp"
 
 namespace hi = homunculus::ir;
 namespace ml = homunculus::ml;
 namespace hm = homunculus::math;
 namespace hc = homunculus::common;
+using homunculus::test::interpretRows;
 
 namespace {
 
@@ -66,7 +68,7 @@ TEST(ModelIr, QuantizedMlpMatchesFloatOnEasyData)
     mlp.train(data);
 
     auto ir = hi::lowerMlp(mlp, hc::FixedPointFormat::q88(), "m");
-    auto quantized = hi::executeIrBatch(ir, data.x);
+    auto quantized = interpretRows(ir, data.x);
     auto floating = mlp.predict(data.x);
     // Q8.8 quantization flips at most a small fraction of decisions on a
     // well-separated task.
@@ -83,7 +85,7 @@ TEST(ModelIr, LowerKMeansExecutesNearestCentroid)
     kmeans.fit(x);
     auto ir = hi::lowerKMeans(kmeans, hc::FixedPointFormat::q88(), "km", 2);
     EXPECT_NO_THROW(ir.validate());
-    auto assignments = hi::executeIrBatch(ir, x);
+    auto assignments = interpretRows(ir, x);
     // Points in the same blob land in the same cluster.
     EXPECT_EQ(assignments[0], assignments[1]);
     EXPECT_EQ(assignments[2], assignments[3]);
@@ -98,7 +100,7 @@ TEST(ModelIr, LowerSvmAgreesWithFloatModel)
     svm.train(data);
     auto ir = hi::lowerSvm(svm, hc::FixedPointFormat::q88(), "svm", 3);
     EXPECT_NO_THROW(ir.validate());
-    auto quantized = hi::executeIrBatch(ir, data.x);
+    auto quantized = interpretRows(ir, data.x);
     auto floating = svm.predict(data.x);
     EXPECT_GT(ml::accuracy(floating, quantized), 0.95);
 }
@@ -116,7 +118,7 @@ TEST(ModelIr, LowerTreeAgreesWithFloatModelExactlyOffGrid)
     EXPECT_EQ(ir.treeDepth, tree.depth());
     EXPECT_EQ(ir.treeNodes.size(), tree.nodeCount());
 
-    auto quantized = hi::executeIrBatch(ir, data.x);
+    auto quantized = interpretRows(ir, data.x);
     auto floating = tree.predict(data.x);
     // Thresholds move by at most one quantization step; blob data rarely
     // sits within 1/256 of a threshold.

@@ -13,12 +13,14 @@
 #include "core/schedule.hpp"
 #include "ir/model_ir.hpp"
 #include "ml/metrics.hpp"
+#include "interpret_rows.hpp"
 
 namespace hb = homunculus::backends;
 namespace hi = homunculus::ir;
 namespace ml = homunculus::ml;
 namespace hm = homunculus::math;
 namespace hc = homunculus::common;
+using homunculus::test::interpretRows;
 namespace hcore = homunculus::core;
 
 // ---------------------------------------------------------------------
@@ -55,7 +57,7 @@ TEST_P(MlpShapeProperty, SimulatorAgreesWithReferenceExecutor)
         v = rng.gaussian(0, 1.5);
 
     hb::TaurusPlatform platform;
-    EXPECT_EQ(platform.evaluate(ir, x), hi::executeIrBatch(ir, x));
+    EXPECT_EQ(platform.evaluate(ir, x), interpretRows(ir, x));
 }
 
 TEST_P(MlpShapeProperty, WideningEveryLayerNeverReducesResources)
@@ -112,7 +114,7 @@ TEST_P(KMeansMatProperty, PipelineEquivalentAndTableCountExact)
 
     auto pipeline = hb::MatPipeline::compileKMeans(ir);
     EXPECT_EQ(pipeline.numTables(), std::max<std::size_t>(k, 2));
-    auto reference = hi::executeIrBatch(ir, x);
+    auto reference = interpretRows(ir, x);
     for (std::size_t i = 0; i < x.rows(); ++i)
         EXPECT_EQ(pipeline.process(x.row(i)), reference[i]);
 }

@@ -163,10 +163,3 @@ TEST(Acquisition, EiMinimizationMirrorsMaximization)
         homunculus::opt::expectedImprovement(0.2, 0.1, 0.5, false, 0.0);
     EXPECT_NEAR(max_side, min_side, 1e-12);
 }
-
-TEST(Acquisition, ConfidenceBoundOrdersByOptimism)
-{
-    double a = homunculus::opt::confidenceBound(0.5, 0.04, true);
-    double b = homunculus::opt::confidenceBound(0.5, 0.16, true);
-    EXPECT_GT(b, a);
-}

@@ -9,6 +9,7 @@
 #include "backends/mat_platform.hpp"
 #include "backends/taurus.hpp"
 #include "common/rng.hpp"
+#include "ir/exec_plan.hpp"
 #include "ir/serialize.hpp"
 #include "ml/kmeans.hpp"
 #include "ml/svm.hpp"
@@ -74,8 +75,8 @@ TEST(Serialize, RestoredMlpClassifiesIdentically)
     auto original = mlpIr(2);
     auto restored = hi::deserializeModel(hi::serializeModel(original));
     auto data = makeBlobs(100, 3, 9);
-    EXPECT_EQ(hi::executeIrBatch(restored, data.x),
-              hi::executeIrBatch(original, data.x));
+    EXPECT_EQ(hi::ExecutablePlan::compile(restored).run(data.x),
+              hi::ExecutablePlan::compile(original).run(data.x));
 
     // Same verdicts through the Taurus simulator too.
     hb::TaurusPlatform taurus;
@@ -124,8 +125,8 @@ TEST(Serialize, TreeRoundTrip)
     auto restored = hi::deserializeModel(hi::serializeModel(original));
     ASSERT_EQ(restored.treeNodes.size(), original.treeNodes.size());
     EXPECT_EQ(restored.treeDepth, original.treeDepth);
-    EXPECT_EQ(hi::executeIrBatch(restored, data.x),
-              hi::executeIrBatch(original, data.x));
+    EXPECT_EQ(hi::ExecutablePlan::compile(restored).run(data.x),
+              hi::ExecutablePlan::compile(original).run(data.x));
 }
 
 TEST(Serialize, NonDefaultFormatSurvives)
@@ -149,8 +150,8 @@ TEST(Serialize, FileSaveLoadRoundTrip)
     auto restored = hi::loadModel(path);
     EXPECT_EQ(restored.paramCount(), original.paramCount());
     auto data = makeBlobs(50, 3, 11);
-    EXPECT_EQ(hi::executeIrBatch(restored, data.x),
-              hi::executeIrBatch(original, data.x));
+    EXPECT_EQ(hi::ExecutablePlan::compile(restored).run(data.x),
+              hi::ExecutablePlan::compile(original).run(data.x));
 }
 
 TEST(Serialize, RejectsBadHeaderAndTruncation)

@@ -7,12 +7,14 @@
 #include "backends/mapreduce_sim.hpp"
 #include "backends/taurus.hpp"
 #include "common/rng.hpp"
+#include "interpret_rows.hpp"
 
 namespace hb = homunculus::backends;
 namespace hi = homunculus::ir;
 namespace ml = homunculus::ml;
 namespace hm = homunculus::math;
 namespace hc = homunculus::common;
+using homunculus::test::interpretRows;
 
 namespace {
 
@@ -122,8 +124,7 @@ TEST(MapReduceSim, LabelsMatchReferenceExecutor)
     for (double &v : x.data())
         v = rng.gaussian(0, 1);
     auto stream = sim.runStream(ir, x);
-    auto reference = hi::executeIrBatch(ir, x);
-    EXPECT_EQ(stream.labels, reference);
+    EXPECT_EQ(stream.labels, interpretRows(ir, x));
 }
 
 TEST(MapReduceSim, StreamCyclesAreFillPlusII)
@@ -156,5 +157,9 @@ TEST(TaurusPlatform, EvaluateMatchesSimulator)
     hm::Matrix x(15, 4);
     for (double &v : x.data())
         v = rng.gaussian(0, 1);
-    EXPECT_EQ(platform.evaluate(ir, x), hi::executeIrBatch(ir, x));
+    auto labels = platform.evaluate(ir, x);
+    EXPECT_EQ(labels, interpretRows(ir, x));
+    EXPECT_EQ(labels,
+              hb::MapReduceSimulator(platform.config()).runStream(ir, x)
+                  .labels);
 }
