@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "backends/registry.hpp"
 #include "backends/spatial_codegen.hpp"
 #include "common/string_util.hpp"
 
@@ -139,27 +138,6 @@ FpgaPlatform::withBudget(const ResourceBudget &budget) const
     auto rebuilt = std::make_shared<FpgaPlatform>(config);
     rebuilt->setConstraints(constraints_);
     return rebuilt;
-}
-
-bool
-registerFpgaBackend()
-{
-    return BackendRegistry::instance().registerFactory(
-        "fpga", [](const BackendParams &params) -> PlatformPtr {
-            if (const auto *config =
-                    std::any_cast<FpgaConfig>(&params.typedConfig))
-                return std::make_shared<FpgaPlatform>(*config);
-            FpgaConfig config;
-            config.lutBudgetPercent =
-                params.numberOr("lut_budget", config.lutBudgetPercent);
-            config.ffBudgetPercent =
-                params.numberOr("ff_budget", config.ffBudgetPercent);
-            config.bramBudgetPercent =
-                params.numberOr("bram_budget", config.bramBudgetPercent);
-            config.powerBudgetWatts =
-                params.numberOr("power_budget", config.powerBudgetWatts);
-            return std::make_shared<FpgaPlatform>(config);
-        });
 }
 
 }  // namespace homunculus::backends

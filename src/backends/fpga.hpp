@@ -77,7 +77,4 @@ class FpgaPlatform : public Platform
     FpgaConfig config_;
 };
 
-/** Self-registration hook ("fpga"); idempotent. */
-bool registerFpgaBackend();
-
 }  // namespace homunculus::backends

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "backends/p4_codegen.hpp"
-#include "backends/registry.hpp"
 #include "common/string_util.hpp"
 #include "runtime/quant_cache.hpp"
 
@@ -126,30 +125,6 @@ MatPlatform::withBudget(const ResourceBudget &budget) const
     auto rebuilt = std::make_shared<MatPlatform>(config);
     rebuilt->setConstraints(constraints_);
     return rebuilt;
-}
-
-bool
-registerMatBackend()
-{
-    auto factory = [](const BackendParams &params) -> PlatformPtr {
-        if (const auto *config =
-                std::any_cast<MatConfig>(&params.typedConfig))
-            return std::make_shared<MatPlatform>(*config);
-        MatConfig config;
-        config.numTables = params.sizeOr("tables", config.numTables);
-        config.entriesPerTable =
-            params.sizeOr("entries", config.entriesPerTable);
-        config.binsPerFeature =
-            params.sizeOr("bins", config.binsPerFeature);
-        return std::make_shared<MatPlatform>(config);
-    };
-    bool tofino = BackendRegistry::instance().registerFactory("tofino",
-                                                              factory);
-    // The platform's self-reported name is "tofino-mat"; register both so
-    // lookups by either spelling resolve.
-    bool alias = BackendRegistry::instance().registerFactory("tofino-mat",
-                                                             factory);
-    return tofino && alias;
 }
 
 }  // namespace homunculus::backends

@@ -54,7 +54,4 @@ class MatPlatform : public Platform
     MatConfig config_;
 };
 
-/** Self-registration hook ("tofino" + "tofino-mat"); idempotent. */
-bool registerMatBackend();
-
 }  // namespace homunculus::backends

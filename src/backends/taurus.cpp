@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "backends/registry.hpp"
 #include "backends/spatial_codegen.hpp"
 #include "common/string_util.hpp"
 
@@ -166,22 +165,6 @@ TaurusPlatform::withBudget(const ResourceBudget &budget) const
     auto rebuilt = std::make_shared<TaurusPlatform>(config);
     rebuilt->setConstraints(constraints_);
     return rebuilt;
-}
-
-bool
-registerTaurusBackend()
-{
-    return BackendRegistry::instance().registerFactory(
-        "taurus", [](const BackendParams &params) -> PlatformPtr {
-            if (const auto *config =
-                    std::any_cast<TaurusConfig>(&params.typedConfig))
-                return std::make_shared<TaurusPlatform>(*config);
-            TaurusConfig config;
-            config.gridRows = params.sizeOr("grid_rows", config.gridRows);
-            config.gridCols = params.sizeOr("grid_cols", config.gridCols);
-            config.clockGhz = params.numberOr("clock_ghz", config.clockGhz);
-            return std::make_shared<TaurusPlatform>(config);
-        });
 }
 
 }  // namespace homunculus::backends

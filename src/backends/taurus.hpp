@@ -73,7 +73,4 @@ class TaurusPlatform : public Platform
     TaurusConfig config_;
 };
 
-/** Self-registration hook ("taurus"); idempotent. */
-bool registerTaurusBackend();
-
 }  // namespace homunculus::backends

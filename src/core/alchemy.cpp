@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/string_util.hpp"
+
 namespace homunculus::core {
 
 std::string
@@ -223,50 +225,61 @@ PlatformHandle::schedule(ScheduleNode node)
 
 namespace Platforms {
 
-namespace {
-
-PlatformHandle
-fromRegistry(const std::string &name, std::any typed_config)
-{
-    backends::BackendParams params;
-    params.typedConfig = std::move(typed_config);
-    backends::PlatformPtr platform =
-        backends::BackendRegistry::instance().create(name, params);
-    if (!platform)
-        throw std::runtime_error(
-            backends::BackendRegistry::instance().unknownTargetMessage(
-                name));
-    return PlatformHandle(std::move(platform));
-}
-
-}  // namespace
-
 PlatformHandle
 taurus(backends::TaurusConfig config)
 {
-    return fromRegistry("taurus", config);
+    return PlatformHandle(std::make_shared<backends::TaurusPlatform>(config));
 }
 
 PlatformHandle
 tofino(backends::MatConfig config)
 {
-    return fromRegistry("tofino", config);
+    return PlatformHandle(std::make_shared<backends::MatPlatform>(config));
 }
 
 PlatformHandle
 fpga(backends::FpgaConfig config)
 {
-    return fromRegistry("fpga", config);
+    return PlatformHandle(std::make_shared<backends::FpgaPlatform>(config));
+}
+
+namespace {
+
+struct NamedPlatform
+{
+    const char *name;
+    PlatformHandle (*make)();
+};
+
+/** Every target name, sorted; "tofino-mat" is the MAT platform's own
+ *  name() and resolves like "tofino". */
+const NamedPlatform kNamedPlatforms[] = {
+    {"fpga", [] { return fpga(); }},
+    {"taurus", [] { return taurus(); }},
+    {"tofino", [] { return tofino(); }},
+    {"tofino-mat", [] { return tofino(); }},
+};
+
+}  // namespace
+
+std::vector<std::string>
+names()
+{
+    std::vector<std::string> out;
+    for (const NamedPlatform &entry : kNamedPlatforms)
+        out.push_back(entry.name);
+    return out;
 }
 
 Result<PlatformHandle>
-byName(const std::string &name, const backends::BackendParams &params)
+byName(const std::string &name)
 {
-    auto &registry = backends::BackendRegistry::instance();
-    backends::PlatformPtr platform = registry.create(name, params);
-    if (!platform)
-        return Status::notFound(registry.unknownTargetMessage(name));
-    return PlatformHandle(std::move(platform));
+    for (const NamedPlatform &entry : kNamedPlatforms)
+        if (name == entry.name)
+            return entry.make();
+    return Status::notFound("unknown platform '" + name +
+                            "'; known platforms: " +
+                            common::join(names(), ", "));
 }
 
 }  // namespace Platforms

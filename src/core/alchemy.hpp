@@ -27,7 +27,6 @@
 #include "backends/fpga.hpp"
 #include "backends/mat_platform.hpp"
 #include "backends/platform.hpp"
-#include "backends/registry.hpp"
 #include "backends/taurus.hpp"
 #include "core/status.hpp"
 #include "data/loaders.hpp"
@@ -149,9 +148,10 @@ class PlatformHandle
 };
 
 /**
- * Factory namespace mirroring the paper's `Platforms` class. Every
- * factory — typed or by name — resolves through the BackendRegistry, so
- * registering a new backend makes it available everywhere at once.
+ * Factory namespace mirroring the paper's `Platforms` class: the typed
+ * factories build their backend directly, and byName() resolves the
+ * closed set of target names to them with default configs. Size a
+ * platform through PlatformHandle::constrain's ResourceBudget.
  */
 namespace Platforms {
 
@@ -164,12 +164,14 @@ PlatformHandle tofino(backends::MatConfig config = {});
 /** An FPGA SmartNIC / accelerator card. */
 PlatformHandle fpga(backends::FpgaConfig config = {});
 
+/** The target names byName() resolves, sorted. */
+std::vector<std::string> names();
+
 /**
- * Resolve any registered backend by name ("taurus", "tofino", "fpga",
- * or a plugin's). NOT_FOUND Statuses list the known names.
+ * A target by name ("fpga", "taurus", "tofino", "tofino-mat") with its
+ * default config. NOT_FOUND Statuses list the known names.
  */
-Result<PlatformHandle> byName(const std::string &name,
-                              const backends::BackendParams &params = {});
+Result<PlatformHandle> byName(const std::string &name);
 
 }  // namespace Platforms
 

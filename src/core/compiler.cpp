@@ -359,7 +359,7 @@ foldSearchOutcomes(const ModelSpec &spec,
  * Run the emit-stage IR pass pipeline on a winning model and refresh its
  * resource report (passes only ever shrink the artifact, so a feasible
  * model stays feasible). Predictions — and therefore the reported
- * objective — are bit-identical across every registered pass.
+ * objective — are bit-identical across every built-in pass.
  */
 Status
 runEmitPasses(const CompileOptions &options,
@@ -528,6 +528,16 @@ CompileSession::loadData()
         return status;
     if (Status status = checkCancelled("loadData"); !status)
         return status;
+    // A Pareto key no evaluation fills would score every candidate's
+    // cost as 0; refuse it before any data loads or candidate trains.
+    const std::string &cost_key = options_.bo.costMetricKey;
+    const std::vector<std::string> &cost_keys = evalMetricKeys();
+    if (!cost_key.empty() &&
+        std::find(cost_keys.begin(), cost_keys.end(), cost_key) ==
+            cost_keys.end())
+        return Status::invalidArgument(
+            "unknown Pareto cost metric '" + cost_key +
+            "' (known: " + common::join(cost_keys, ", ") + ")");
 
     Status bad = Status::invalidArgument(
         "scheduled spec lacks a data loader");

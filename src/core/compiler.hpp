@@ -93,7 +93,9 @@ struct CompileOptions
      * Per-candidate-family search budget. Any shouldStop/onEvaluation
      * hooks set here are chained with (not replaced by) the session's
      * own cancellation/progress wiring, and run unserialized on search
-     * worker threads — unlike `observer`, which is serialized.
+     * worker threads — unlike `observer`, which is serialized. A
+     * non-empty `bo.costMetricKey` must be one of evalMetricKeys(), or
+     * loadData() fails with INVALID_ARGUMENT.
      */
     opt::BoConfig bo;
     std::uint64_t seed = 9;      ///< training/search determinism.
@@ -117,9 +119,9 @@ struct CompileOptions
     /**
      * IR passes the emit stage runs on every winning model before code
      * generation (homc --passes). Empty selects the default
-     * ir::PassManager::optimizationPipeline(); names must be registered
-     * in the ir::PassRegistry or emit() fails with INVALID_ARGUMENT.
-     * Every registered pass preserves predictions bit-for-bit, so the
+     * ir::PassManager::optimizationPipeline(); names must be in
+     * ir::passNames() or emit() fails with INVALID_ARGUMENT.
+     * Every built-in pass preserves predictions bit-for-bit, so the
      * reported objective still describes the emitted artifact.
      */
     std::vector<std::string> emitPasses;

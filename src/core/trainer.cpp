@@ -178,4 +178,13 @@ toEvalResult(const CandidateEvaluation &evaluation)
     return result;
 }
 
+const std::vector<std::string> &
+evalMetricKeys()
+{
+    static const std::vector<std::string> keys = {
+        "cus", "mus", "mat_tables", "latency_ns", "throughput_gpps",
+        "params"};
+    return keys;
+}
+
 }  // namespace homunculus::core

@@ -57,6 +57,10 @@ CandidateEvaluation evaluateCandidate(Algorithm algorithm,
 /** Adapt a CandidateEvaluation into the optimizer's EvalResult. */
 opt::EvalResult toEvalResult(const CandidateEvaluation &evaluation);
 
+/** The EvalResult::metrics keys toEvalResult fills — the only cost
+ *  metrics a Pareto search (BoConfig::costMetricKey) may name. */
+const std::vector<std::string> &evalMetricKeys();
+
 /** Fixed training epochs used across candidate runs (fair comparison). */
 constexpr std::size_t kCandidateTrainEpochs = 25;
 

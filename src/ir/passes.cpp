@@ -4,6 +4,8 @@
 #include <functional>
 #include <stdexcept>
 
+#include "common/string_util.hpp"
+
 namespace homunculus::ir {
 
 // ------------------------------------------------------------- staging ---
@@ -348,7 +350,7 @@ foldConstantsPass(ModelIr &model)
  * (quantizePass) already saturates, so this is the identity on every
  * pipeline-lowered artifact; it exists so hand-built or externally
  * patched IRs can be forced back onto the format contract, and so the
- * registry matches the documented pipeline (quantize is lowering's
+ * pass table matches the documented pipeline (quantize is lowering's
  * implicit first pass).
  */
 bool
@@ -384,73 +386,53 @@ requantizePass(ModelIr &model)
     return changed;
 }
 
-std::string
-joinNames(const std::vector<std::string> &names)
+bool
+validatePass(ModelIr &model)
 {
-    std::string joined;
-    for (const std::string &name : names) {
-        if (!joined.empty())
-            joined += ", ";
-        joined += name;
-    }
-    return joined;
+    model.validate();
+    return false;
+}
+
+/** The built-in passes (function-local, so a lookup from another TU's
+ *  static initializer never sees the table unconstructed). */
+const std::vector<PassInfo> &
+builtinPasses()
+{
+    static const std::vector<PassInfo> passes = {
+        {"validate", "structural consistency checks (never rewrites)",
+         validatePass},
+        {"quantize",
+         "re-saturate payload words into the Q-format (lowering's "
+         "implicit first pass; identity on conforming artifacts)",
+         requantizePass},
+        {"prune-dead",
+         "drop unreachable tree nodes and dead MLP hidden units",
+         pruneDeadPass},
+        {"fold-constants",
+         "collapse same-label tree splits and saturated comparisons",
+         foldConstantsPass},
+    };
+    return passes;
 }
 
 }  // namespace
 
-// ------------------------------------------------------------ registry ---
-
-PassRegistry::PassRegistry()
-{
-    registerPass("validate", "structural consistency checks (never rewrites)",
-                 [](ModelIr &model) {
-                     model.validate();
-                     return false;
-                 });
-    registerPass("quantize",
-                 "re-saturate payload words into the Q-format (lowering's "
-                 "implicit first pass; identity on conforming artifacts)",
-                 requantizePass);
-    registerPass("prune-dead",
-                 "drop unreachable tree nodes and dead MLP hidden units",
-                 pruneDeadPass);
-    registerPass("fold-constants",
-                 "collapse same-label tree splits and saturated comparisons",
-                 foldConstantsPass);
-}
-
-PassRegistry &
-PassRegistry::instance()
-{
-    static PassRegistry registry;
-    return registry;
-}
-
-bool
-PassRegistry::registerPass(const std::string &name,
-                           const std::string &description, PassFn fn)
-{
-    if (find(name) != nullptr)
-        return false;
-    passes_.push_back({name, description, std::move(fn)});
-    return true;
-}
+// ---------------------------------------------------------- pass table ---
 
 const PassInfo *
-PassRegistry::find(const std::string &name) const
+findPass(const std::string &name)
 {
-    for (const PassInfo &pass : passes_)
+    for (const PassInfo &pass : builtinPasses())
         if (pass.name == name)
             return &pass;
     return nullptr;
 }
 
 std::vector<std::string>
-PassRegistry::names() const
+passNames()
 {
     std::vector<std::string> names;
-    names.reserve(passes_.size());
-    for (const PassInfo &pass : passes_)
+    for (const PassInfo &pass : builtinPasses())
         names.push_back(pass.name);
     std::sort(names.begin(), names.end());
     return names;
@@ -481,11 +463,11 @@ PassManager::optimizationPipeline()
 PassManager &
 PassManager::append(const std::string &pass_name)
 {
-    const PassInfo *pass = PassRegistry::instance().find(pass_name);
+    const PassInfo *pass = findPass(pass_name);
     if (pass == nullptr)
         throw std::runtime_error(
             "unknown pass '" + pass_name + "' (known passes: " +
-            joinNames(PassRegistry::instance().names()) + ")");
+            common::join(ir::passNames(), ", ") + ")");
     pipeline_.push_back(*pass);
     return *this;
 }

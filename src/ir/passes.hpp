@@ -14,16 +14,16 @@
  *
  * Staging captures the trained model's topology with real-valued weights;
  * the `quantize` pass is the single place float weights become Q-format
- * words; every subsequent pass is a ModelIr -> ModelIr rewrite registered
- * in the PassRegistry by name. A PassManager holds an ordered pipeline,
- * records each executed pass into ModelIr::passes (serialized with the
- * artifact), and can invoke a dump hook after every pass — the mechanism
- * behind `homc --dump-ir`.
+ * words; every subsequent pass is a ModelIr -> ModelIr rewrite looked up
+ * by name in the built-in pass table (findPass). A PassManager holds an
+ * ordered pipeline, records each executed pass into ModelIr::passes
+ * (serialized with the artifact), and can invoke a dump hook after every
+ * pass — the mechanism behind `homc --dump-ir`.
  *
- * Every registered pass is semantics-preserving on format-conforming
+ * Every built-in pass is semantics-preserving on format-conforming
  * artifacts: predictions of the IR under ir::executeIr /
  * ir::ExecutablePlan are bit-identical before and after the pass
- * (tests/test_exec_plan.cpp enforces this). The registered `quantize`
+ * (tests/test_exec_plan.cpp enforces this). The built-in `quantize`
  * pass additionally forces out-of-range payload words of hand-built IRs
  * back onto the format — the identity on anything the pipeline lowered.
  */
@@ -105,7 +105,7 @@ using PassFn = std::function<bool(ModelIr &)>;
 using PassDumpHook =
     std::function<void(const std::string &pass_name, const ModelIr &model)>;
 
-/** A named, registered pass. */
+/** A named built-in pass. */
 struct PassInfo
 {
     std::string name;
@@ -113,35 +113,15 @@ struct PassInfo
     PassFn run;
 };
 
-/**
- * Name -> pass registry. Built-in passes (validate, prune-dead,
- * fold-constants) self-register; plugins may add more. Mirrors the
- * backends::BackendRegistry idiom so tools can enumerate passes and give
- * registry-aware "unknown pass" diagnostics.
- */
-class PassRegistry
-{
-  public:
-    static PassRegistry &instance();
+/** A built-in pass (validate, quantize, prune-dead, fold-constants) by
+ *  name; nullptr when unknown. */
+const PassInfo *findPass(const std::string &name);
 
-    /** Register a pass; returns false (keeps the first) on a name clash. */
-    bool registerPass(const std::string &name, const std::string &description,
-                      PassFn fn);
-
-    /** Look up a pass by name; nullptr when unknown. */
-    const PassInfo *find(const std::string &name) const;
-
-    /** Registered pass names, sorted (for diagnostics and --list-passes). */
-    std::vector<std::string> names() const;
-
-  private:
-    PassRegistry();
-
-    std::vector<PassInfo> passes_;
-};
+/** The built-in pass names, sorted (for diagnostics and --list-passes). */
+std::vector<std::string> passNames();
 
 /**
- * An ordered pass pipeline. Executes registered passes in sequence,
+ * An ordered pass pipeline. Executes built-in passes in sequence,
  * appending each executed pass name to ModelIr::passes and firing the
  * dump hook after every pass.
  */
@@ -165,7 +145,7 @@ class PassManager
     static PassManager optimizationPipeline();
 
     /**
-     * Append a registered pass by name.
+     * Append a built-in pass by name.
      * @throws std::runtime_error naming the known passes when unknown.
      */
     PassManager &append(const std::string &pass_name);

@@ -113,9 +113,10 @@ struct DenseI16Args
 };
 
 /**
- * The per-target kernel table. Entries an ISA TU leaves null are
- * patched with the scalar reference at dispatch-resolution time, so a
- * target may accelerate only the kernels its ISA is good at.
+ * The per-target kernel table. Every table fills every entry: dispatch
+ * hands out a TU's own table as is, and
+ * KernelDispatch.ScalarIsAlwaysAvailable asserts each available table
+ * is complete.
  */
 struct KernelOps
 {

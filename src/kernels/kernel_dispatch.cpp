@@ -27,11 +27,13 @@ hostSupports(KernelTarget target)
     return false;
 }
 
-/** The table a target's TU compiled in (nullptr when built without
- *  that ISA). */
+/** The table a target's TU compiled in, when the host can run it;
+ *  nullptr when the TU was built without that ISA or the CPU lacks it. */
 const KernelOps *
-rawOps(KernelTarget target)
+availableOps(KernelTarget target)
 {
+    if (!hostSupports(target))
+        return nullptr;
     switch (target) {
       case KernelTarget::kScalar: return scalarOps();
       case KernelTarget::kAvx2: return avx2Ops();
@@ -49,9 +51,6 @@ struct DispatchState
     const char *provenance = "auto";
     bool forced = false;
     KernelTarget forcedTarget = KernelTarget::kScalar;
-    /** Per-target tables with null entries patched from scalar. */
-    KernelOps completed[kNumKernelTargets];
-    bool completedBuilt[kNumKernelTargets] = {};
 };
 
 DispatchState &
@@ -61,42 +60,10 @@ state()
     return s;
 }
 
-/** The completed (scalar-patched) table for @p target; nullptr when
- *  the target is unavailable. Caller holds the state mutex. */
-const KernelOps *
-completedLocked(DispatchState &s, KernelTarget target)
-{
-    if (!hostSupports(target))
-        return nullptr;
-    const KernelOps *raw = rawOps(target);
-    if (raw == nullptr)
-        return nullptr;
-    auto slot = static_cast<std::size_t>(target);
-    if (!s.completedBuilt[slot]) {
-        KernelOps table = *scalarOps();  // every entry non-null.
-        table.target = raw->target;
-        table.name = raw->name;
-        if (raw->denseI32) table.denseI32 = raw->denseI32;
-        if (raw->denseI16) table.denseI16 = raw->denseI16;
-        if (raw->argmaxI32) table.argmaxI32 = raw->argmaxI32;
-        if (raw->argmaxI16) table.argmaxI16 = raw->argmaxI16;
-        if (raw->squaredDist) table.squaredDist = raw->squaredDist;
-        if (raw->kmeansArgmin) table.kmeansArgmin = raw->kmeansArgmin;
-        if (raw->svmArgmaxNarrow)
-            table.svmArgmaxNarrow = raw->svmArgmaxNarrow;
-        if (raw->rangeLowerBound)
-            table.rangeLowerBound = raw->rangeLowerBound;
-        s.completed[slot] = table;
-        s.completedBuilt[slot] = true;
-    }
-    return &s.completed[slot];
-}
-
 KernelTarget
 bestAvailable()
 {
-    if (hostSupports(KernelTarget::kAvx2) &&
-        rawOps(KernelTarget::kAvx2) != nullptr)
+    if (availableOps(KernelTarget::kAvx2) != nullptr)
         return KernelTarget::kAvx2;
     return KernelTarget::kScalar;
 }
@@ -147,7 +114,7 @@ KernelDispatch::ops()
         if (env != nullptr && *env != '\0' &&
             std::string(env) != "auto") {
             target = parseKernelTarget(env);  // throws on bogus values.
-            if (completedLocked(s, target) == nullptr)
+            if (availableOps(target) == nullptr)
                 throw std::runtime_error(
                     std::string("HOMUNCULUS_KERNELS=") + env +
                     ": target not available on this host");
@@ -157,7 +124,7 @@ KernelDispatch::ops()
             provenance = "auto";
         }
     }
-    table = completedLocked(s, target);
+    table = availableOps(target);
     if (table == nullptr)  // unreachable: availability checked above.
         throw std::runtime_error("KernelDispatch: no kernel table");
     s.provenance = provenance;
@@ -181,11 +148,9 @@ KernelDispatch::provenance()
 std::vector<KernelTarget>
 KernelDispatch::available()
 {
-    DispatchState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
     std::vector<KernelTarget> out;
     for (KernelTarget target : {KernelTarget::kScalar, KernelTarget::kAvx2})
-        if (completedLocked(s, target) != nullptr)
+        if (availableOps(target) != nullptr)
             out.push_back(target);
     return out;
 }
@@ -193,9 +158,7 @@ KernelDispatch::available()
 const KernelOps *
 KernelDispatch::find(KernelTarget target)
 {
-    DispatchState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return completedLocked(s, target);
+    return availableOps(target);
 }
 
 void
@@ -203,7 +166,7 @@ KernelDispatch::force(KernelTarget target)
 {
     DispatchState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    const KernelOps *table = completedLocked(s, target);
+    const KernelOps *table = availableOps(target);
     if (table == nullptr)
         throw std::runtime_error(
             std::string("kernel target '") + kernelTargetName(target) +

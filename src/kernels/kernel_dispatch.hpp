@@ -60,7 +60,7 @@ class KernelDispatch
      *  compiled-in ISA tables only when the CPU reports the ISA). */
     static std::vector<KernelTarget> available();
 
-    /** The completed table for @p target, or nullptr when the target
+    /** The table for @p target, or nullptr when the target
      *  is not available on this host. Does not change the active
      *  table — differential tests run several targets side by side. */
     static const KernelOps *find(KernelTarget target);

@@ -211,11 +211,11 @@ BayesianOptimizer::askGuided()
     ml::RandomForestClassifier feasibility_model(feas_config);
     {
         bool any_infeasible =
-            std::any_of(feasibility.begin(), feasibility.end(),
-                        [](int f) { return f == 0; });
+            std::find(feasibility.begin(), feasibility.end(), 0) !=
+            feasibility.end();
         bool any_feasible =
-            std::any_of(feasibility.begin(), feasibility.end(),
-                        [](int f) { return f == 1; });
+            std::find(feasibility.begin(), feasibility.end(), 1) !=
+            feasibility.end();
         if (any_infeasible && any_feasible) {
             ml::Dataset feas_data;
             feas_data.x = math::Matrix::fromRows(encoded);

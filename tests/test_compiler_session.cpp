@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <vector>
 
@@ -328,6 +329,50 @@ TEST(CompilerSession, MissingLoaderYieldsInvalidArgument)
     EXPECT_EQ(status.code(), hcore::StatusCode::kInvalidArgument);
     ASSERT_EQ(status.context().size(), 1u);
     EXPECT_NE(status.context()[0].find("no_loader"), std::string::npos);
+}
+
+TEST(CompilerSession, UnknownParetoCostKeyIsInvalidArgumentBeforeLoading)
+{
+    auto platform = hcore::Platforms::taurus();
+    bool loaded = false;
+    hcore::ModelSpec spec = adSpec();
+    spec.dataLoader = [&loaded] {
+        loaded = true;
+        hd::AnomalyConfig config;
+        config.numSamples = 200;
+        return hd::generateAnomalySplit(config);
+    };
+    platform.schedule(spec);
+
+    hcore::CompileOptions options = tinyOptions();
+    options.bo.costMetricKey = "bogus";
+    hcore::CompileSession session =
+        hcore::Compiler(options).openSession(platform);
+    hcore::Status status = session.loadData();
+    EXPECT_EQ(status.code(), hcore::StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(),
+              "unknown Pareto cost metric 'bogus' (known: cus, mus, "
+              "mat_tables, latency_ns, throughput_gpps, params)");
+    EXPECT_FALSE(loaded);
+
+    // Every listed key is accepted.
+    for (const std::string &key : hcore::evalMetricKeys()) {
+        options.bo.costMetricKey = key;
+        hcore::CompileSession accepting =
+            hcore::Compiler(options).openSession(platform);
+        EXPECT_TRUE(accepting.loadData().isOk()) << key;
+    }
+}
+
+TEST(CompilerSession, EvalMetricKeysAreTheKeysToEvalResultFills)
+{
+    std::vector<std::string> filled;
+    for (const auto &[key, value] :
+         hcore::toEvalResult(hcore::CandidateEvaluation{}).metrics)
+        filled.push_back(key);
+    std::vector<std::string> listed = hcore::evalMetricKeys();
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(filled, listed);  // std::map keys come out sorted.
 }
 
 TEST(CompilerSession, ProgressObserverSeesStagesInOrder)

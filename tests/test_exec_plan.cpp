@@ -286,6 +286,22 @@ TEST(Passes, UnknownPassNameIsRegistryAware)
     }
 }
 
+TEST(Passes, FindPassResolvesTheFourBuiltinsOnly)
+{
+    EXPECT_EQ(hi::passNames(),
+              (std::vector<std::string>{"fold-constants", "prune-dead",
+                                        "quantize", "validate"}));
+    for (const std::string &name : hi::passNames()) {
+        const hi::PassInfo *pass = hi::findPass(name);
+        ASSERT_NE(pass, nullptr) << name;
+        EXPECT_EQ(pass->name, name);
+        EXPECT_FALSE(pass->description.empty()) << name;
+        EXPECT_TRUE(static_cast<bool>(pass->run)) << name;
+    }
+    EXPECT_EQ(hi::findPass("no-such-pass"), nullptr);
+    EXPECT_EQ(hi::findPass(""), nullptr);
+}
+
 TEST(Passes, PruneDeadDropsUnreachableTreeNodesInvariantly)
 {
     auto model = randomTreeIr(5, 4, 3, 53);

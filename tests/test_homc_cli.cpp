@@ -137,6 +137,57 @@ TEST(HomcCli, MissingAppIsStillAnError)
               std::string::npos);
 }
 
+TEST(HomcCli, UnknownAppOrAlgorithmIsAUsageError)
+{
+    ht::CliOptions options;
+    std::string errors;
+    EXPECT_EQ(parse({"--app", "xyz"}, options, errors),
+              ht::ParseResult::kError);
+    EXPECT_NE(errors.find("--app expects ad|tc|bd, got 'xyz'"),
+              std::string::npos)
+        << errors;
+
+    options = {};
+    EXPECT_EQ(parse({"--app", "ad", "--algorithms", "svm,bogus"}, options,
+                    errors),
+              ht::ParseResult::kError);
+    EXPECT_NE(errors.find("unknown algorithm 'bogus' in --algorithms "
+                          "(known: dnn, svm, kmeans, decision_tree)"),
+              std::string::npos)
+        << errors;
+
+    for (const char *app : {"ad", "tc", "bd"}) {
+        options = {};
+        EXPECT_EQ(parse({"--app", app, "--algorithms",
+                         "dnn, svm,kmeans,decision_tree"},
+                        options, errors),
+                  ht::ParseResult::kOk)
+            << app << ": " << errors;
+    }
+}
+
+TEST(HomcCli, ParetoCostMustBeAnEvaluatedMetric)
+{
+    ht::CliOptions options;
+    std::string errors;
+    EXPECT_EQ(parse({"--app", "ad", "--pareto", "bogus"}, options, errors),
+              ht::ParseResult::kError);
+    EXPECT_NE(errors.find("--pareto expects one of cus, mus, mat_tables, "
+                          "latency_ns, throughput_gpps, params, got "
+                          "'bogus'"),
+              std::string::npos)
+        << errors;
+
+    for (const char *cost : {"cus", "mus", "mat_tables", "latency_ns",
+                             "throughput_gpps", "params"}) {
+        options = {};
+        EXPECT_EQ(parse({"--app", "ad", "--pareto", cost}, options, errors),
+                  ht::ParseResult::kOk)
+            << cost << ": " << errors;
+        EXPECT_EQ(options.paretoMetric, cost);
+    }
+}
+
 TEST(HomcCli, ServeLaneFlagsParseAndBuildPolicies)
 {
     ht::CliOptions options;

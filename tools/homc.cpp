@@ -4,8 +4,7 @@
  *
  * Compiles one of the built-in applications (or a CSV dataset) for a
  * chosen data-plane target and writes the generated platform program.
- * Targets resolve through the BackendRegistry, so any registered
- * platform — built-in or plugin — is addressable via --platform.
+ * --platform names one of core::Platforms::names() (--list-platforms).
  *
  * Flag parsing (strict: unknown flags error with a did-you-mean hint,
  * numeric values are validated) lives in homc_cli.{hpp,cpp}; run
@@ -32,8 +31,8 @@
  *                                  lane bindings, --serve-chain
  *                                  label-driven chaining, and the
  *                                  --serve-swap-after hot-swap hook
- *   homc --list-platforms          enumerate the backend registry
- *   homc --list-passes             enumerate the IR pass registry
+ *   homc --list-platforms          enumerate the target names
+ *   homc --list-passes             enumerate the built-in IR passes
  */
 #include <chrono>
 #include <fstream>
@@ -44,7 +43,6 @@
 #include <string>
 #include <thread>
 
-#include "backends/registry.hpp"
 #include "bench_common.hpp"
 #include "common/string_util.hpp"
 #include "data/loaders.hpp"
@@ -89,20 +87,12 @@ buildSpec(const CliOptions &options)
     }
 
     if (!options.algorithms.empty()) {
-        for (const auto &name :
-             common::split(options.algorithms, ',')) {
-            std::string trimmed = common::trim(name);
-            if (trimmed == "dnn")
-                spec.algorithms.push_back(core::Algorithm::kDnn);
-            else if (trimmed == "svm")
-                spec.algorithms.push_back(core::Algorithm::kSvm);
-            else if (trimmed == "kmeans")
-                spec.algorithms.push_back(core::Algorithm::kKMeans);
-            else if (trimmed == "decision_tree")
-                spec.algorithms.push_back(core::Algorithm::kDecisionTree);
-            else
-                throw std::runtime_error("unknown algorithm '" + trimmed +
-                                         "'");
+        // parseArgs admitted only names from core::allAlgorithms().
+        for (const auto &entry : common::split(options.algorithms, ',')) {
+            std::string name = common::trim(entry);
+            for (core::Algorithm algorithm : core::allAlgorithms())
+                if (core::algorithmName(algorithm) == name)
+                    spec.algorithms.push_back(algorithm);
         }
     }
     return spec;
@@ -580,23 +570,17 @@ serveTrace(const char *mode, const CliOptions &options,
     std::cout << "\n";
 }
 
-/** Registry-aware pass-name check, mirroring the --list-platforms style. */
+/** Pass-name check, mirroring the --list-platforms style. */
 bool
 knownPass(const std::string &name)
 {
-    return ir::PassRegistry::instance().find(name) != nullptr;
+    return ir::findPass(name) != nullptr;
 }
 
 std::string
 knownPassList()
 {
-    std::string joined;
-    for (const auto &name : ir::PassRegistry::instance().names()) {
-        if (!joined.empty())
-            joined += ", ";
-        joined += name;
-    }
-    return joined;
+    return common::join(ir::passNames(), ", ");
 }
 
 }  // namespace
@@ -665,15 +649,14 @@ main(int argc, char **argv)
     }
 
     if (options.listPlatforms) {
-        for (const auto &name : backends::BackendRegistry::instance().names())
+        for (const auto &name : core::Platforms::names())
             std::cout << name << "\n";
         return 0;
     }
     if (options.listPasses) {
-        for (const auto &name : ir::PassRegistry::instance().names()) {
-            const ir::PassInfo *pass = ir::PassRegistry::instance().find(name);
-            std::cout << name << "  " << pass->description << "\n";
-        }
+        for (const auto &name : ir::passNames())
+            std::cout << name << "  " << ir::findPass(name)->description
+                      << "\n";
         return 0;
     }
 

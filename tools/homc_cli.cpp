@@ -9,6 +9,8 @@
 #include <stdexcept>
 
 #include "common/string_util.hpp"
+#include "core/alchemy.hpp"
+#include "core/trainer.hpp"
 #include "net/feature_extract.hpp"
 #include "runtime/fault_injector.hpp"
 
@@ -371,6 +373,40 @@ parseArgs(int argc, const char *const *argv, CliOptions &options,
     take("save", options.savePath);
     take("pareto", options.paretoMetric);
     take("passes", options.passes);
+    // Name-valued flags are checked against their one list here, so a
+    // typo is a usage error before any data loads.
+    if (!options.app.empty() && options.app != "ad" &&
+        options.app != "tc" && options.app != "bd") {
+        err << "homc: --app expects ad|tc|bd, got '" << options.app
+            << "'\n";
+        ok = false;
+    }
+    if (!options.algorithms.empty()) {
+        std::vector<std::string> known;
+        for (core::Algorithm algorithm : core::allAlgorithms())
+            known.push_back(core::algorithmName(algorithm));
+        for (const std::string &entry :
+             common::split(options.algorithms, ',')) {
+            std::string name = common::trim(entry);
+            if (std::find(known.begin(), known.end(), name) ==
+                known.end()) {
+                err << "homc: unknown algorithm '" << name
+                    << "' in --algorithms (known: "
+                    << common::join(known, ", ") << ")\n";
+                ok = false;
+            }
+        }
+    }
+    if (!options.paretoMetric.empty()) {
+        const std::vector<std::string> &known = core::evalMetricKeys();
+        if (std::find(known.begin(), known.end(), options.paretoMetric) ==
+            known.end()) {
+            err << "homc: --pareto expects one of "
+                << common::join(known, ", ") << ", got '"
+                << options.paretoMetric << "'\n";
+            ok = false;
+        }
+    }
     take_trace("replay", options.replay);
     take_size("replay-batch", options.replayBatch);
     take_trace("serve", options.serve);
