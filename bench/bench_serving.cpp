@@ -666,7 +666,10 @@ main(int argc, char **argv)
             [&](const runtime::Request &request,
                 const runtime::RouteTrace &trace) {
                 std::lock_guard<std::mutex> lock(trace_mutex);
-                observed.push_back({request.features, trace});
+                observed.push_back({std::vector<double>(
+                                        request.features.begin(),
+                                        request.features.end()),
+                                    trace});
             });
         auto pace = [&](const math::Matrix &rows, std::size_t lane) {
             constexpr std::size_t kBurst = 32;
@@ -829,7 +832,10 @@ main(int argc, char **argv)
             fault_config,
             [&](const runtime::Request &request, int verdict) {
                 std::lock_guard<std::mutex> lock(verdict_mutex);
-                verdicts.emplace_back(request.features, verdict);
+                verdicts.emplace_back(
+                    std::vector<double>(request.features.begin(),
+                                        request.features.end()),
+                    verdict);
             });
         constexpr std::size_t kBurst = 32;
         auto started = Clock::now();
@@ -909,12 +915,6 @@ main(int argc, char **argv)
     constexpr std::size_t kDoorBatch = 256;
     const std::vector<std::size_t> door_threads = {1, 2, 4, 8};
     const std::vector<double> door_features(4, 0.5);
-    auto door_request = [&](std::uint64_t id) {
-        runtime::Request request;
-        request.id = id;
-        request.features = door_features;
-        return request;
-    };
 
     std::cout << common::format(
         "\n=== submit-door contention (%0.1fs tight-loop legs, depth "
@@ -930,15 +930,17 @@ main(int argc, char **argv)
             door_policy.maxDepth = kDoorDepth;
             runtime::QueueConfig door_config;
             door_config.lanes.assign(lanes, door_policy);
-            runtime::RequestQueue queue(door_config);
+            runtime::RequestQueue queue(door_config,
+                                        door_features.size());
             std::thread drain([&] {
-                while (queue.pop()) {
+                runtime::RequestBatch batch;
+                while (queue.pop(batch)) {
                 }
             });
             ContentionResult result = measureDoor(
                 threads, kDoorSeconds,
                 [&](std::size_t t, std::uint64_t i) {
-                    queue.push(door_request(i), t % lanes);
+                    queue.push(i, door_features.data(), t % lanes);
                 },
                 [&] { queue.close(); });
             drain.join();

@@ -69,8 +69,8 @@ FeatureExtractor::payloadEntropy(const std::uint8_t *payload,
     return h_max > 0.0 ? std::clamp(h / h_max, 0.0, 1.0) : 0.0;
 }
 
-std::vector<double>
-FeatureExtractor::extract(const PacketView &packet) const
+void
+FeatureExtractor::extractInto(const PacketView &packet, double *out) const
 {
     std::uint16_t src_port = 0, dst_port = 0;
     if (packet.tcp) {
@@ -81,14 +81,20 @@ FeatureExtractor::extract(const PacketView &packet) const
         dst_port = packet.udp->dstPort;
     }
 
+    out[0] = static_cast<double>(packet.wireSize());
+    out[1] = static_cast<double>(packet.ipv4.ttl);
+    out[2] = static_cast<double>(packet.ipv4.protocol);
+    out[3] = static_cast<double>(src_port % config_.portBuckets);
+    out[4] = static_cast<double>(dst_port % config_.portBuckets);
+    out[5] = static_cast<double>(packet.ipv4.tos) / 255.0;
+    out[6] = payloadEntropy(packet.payload, packet.payloadSize);
+}
+
+std::vector<double>
+FeatureExtractor::extract(const PacketView &packet) const
+{
     std::vector<double> features(kNumTcFeatures);
-    features[0] = static_cast<double>(packet.wireSize());
-    features[1] = static_cast<double>(packet.ipv4.ttl);
-    features[2] = static_cast<double>(packet.ipv4.protocol);
-    features[3] = static_cast<double>(src_port % config_.portBuckets);
-    features[4] = static_cast<double>(dst_port % config_.portBuckets);
-    features[5] = static_cast<double>(packet.ipv4.tos) / 255.0;
-    features[6] = payloadEntropy(packet.payload, packet.payloadSize);
+    extractInto(packet, features.data());
     return features;
 }
 

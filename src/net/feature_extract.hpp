@@ -37,7 +37,10 @@ class FeatureExtractor
   public:
     explicit FeatureExtractor(FeatureExtractorConfig config = {});
 
-    /** Feature vector for one parsed packet (length kNumTcFeatures). */
+    /** Write one parsed packet's kNumTcFeatures features to @p out. */
+    void extractInto(const PacketView &packet, double *out) const;
+
+    /** extractInto() as a vector (length kNumTcFeatures). */
     std::vector<double> extract(const PacketView &packet) const;
 
     /** extract() over viewOf(@p packet). */

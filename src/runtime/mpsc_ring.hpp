@@ -25,15 +25,20 @@
  *     Execution" memory-model framing: one acquire/release pair per
  *     slot, no global fences on the ring itself).
  *   - the single consumer owns tail_ outright (a plain member, not an
- *     atomic): it acquire-loads the tail slot's seq, moves the value
+ *     atomic): it acquire-loads the tail slot's seq, copies the value
  *     out, and release-stores seq = pos + capacity.
  *
  * FIFO: positions are handed out by one fetch-style CAS, so pop order
  * is exactly reservation order — a total order over all producers.
  *
- * tryPush deliberately takes an lvalue reference and consumes it only
- * on success: a full ring leaves the caller's value intact so callers
- * can retry (RequestQueue's publish loop) or shed without copies.
+ * Rows ride inline: a ring built with a row width W carries W doubles
+ * per slot next to its value, in one flat array allocated with the
+ * ring. tryPush copies the caller's row into the reserved slot before
+ * the publishing release-store, and tryPop copies it out before the
+ * freeing release-store, so the row needs no heap allocation of its
+ * own and crosses threads on the slot's one acquire/release pair. A
+ * full ring copies nothing: the caller's value and row are untouched,
+ * so callers can retry (RequestQueue's publish loop) or shed.
  *
  * Capacity is rounded up to a power of two (index masking instead of
  * modulo). One lap of the ring can hold capacity() values; a push into
@@ -42,22 +47,30 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
+#include <type_traits>
 
 namespace homunculus::runtime {
 
 template <typename T>
 class MpscRing
 {
+    static_assert(std::is_trivially_copyable<T>::value,
+                  "MpscRing values are copied into and out of slots");
+
   public:
-    /** @p capacity is rounded up to a power of two, minimum 2. */
-    explicit MpscRing(std::size_t capacity)
+    /** @p capacity is rounded up to a power of two, minimum 2; every
+     *  slot also holds @p width doubles of row data. */
+    explicit MpscRing(std::size_t capacity, std::size_t width = 0)
         : capacity_(roundUpPow2(capacity < 2 ? 2 : capacity)),
-          mask_(capacity_ - 1), slots_(new Slot[capacity_])
+          mask_(capacity_ - 1), width_(width), slots_(new Slot[capacity_]),
+          // Default-initialized: a slot's row pages are first touched
+          // when a producer writes them, not here.
+          rows_(new double[capacity_ * width_])
     {
         for (std::size_t i = 0; i < capacity_; ++i)
             slots_[i].seq.store(i, std::memory_order_relaxed);
@@ -67,11 +80,12 @@ class MpscRing
     MpscRing &operator=(const MpscRing &) = delete;
 
     /**
-     * Reserve a slot and publish @p value into it. Returns false when
-     * the ring is full; @p value is moved from only on success. Safe
-     * from any number of threads concurrently.
+     * Reserve a slot and publish @p value and the width() doubles at
+     * @p row into it (@p row may be null when width() is 0). Returns
+     * false when the ring is full, having read neither. Safe from any
+     * number of threads concurrently.
      */
-    bool tryPush(T &value)
+    bool tryPush(const T &value, const double *row = nullptr)
     {
         std::size_t pos = head_.load(std::memory_order_relaxed);
         for (;;) {
@@ -83,7 +97,8 @@ class MpscRing
                 // Slot free for this lap; race other producers for it.
                 if (head_.compare_exchange_weak(
                         pos, pos + 1, std::memory_order_relaxed)) {
-                    slot.value = std::move(value);
+                    slot.value = value;
+                    std::copy_n(row, width_, rowOf(pos));
                     slot.seq.store(pos + 1, std::memory_order_release);
                     return true;
                 }
@@ -98,17 +113,19 @@ class MpscRing
     }
 
     /**
-     * Move the oldest published value into @p out. Returns false when
-     * nothing is poppable (empty, or the next slot is reserved but not
-     * yet published). Single consumer only.
+     * Copy the oldest published value into @p out and its row into the
+     * width() doubles at @p row (null when width() is 0), then free the
+     * slot. Returns false when nothing is poppable (empty, or the next
+     * slot is reserved but not yet published). Single consumer only.
      */
-    bool tryPop(T &out)
+    bool tryPop(T &out, double *row = nullptr)
     {
         Slot &slot = slots_[tail_ & mask_];
         std::size_t seq = slot.seq.load(std::memory_order_acquire);
         if (seq != tail_ + 1)
             return false;
-        out = std::move(slot.value);
+        out = slot.value;
+        std::copy_n(rowOf(tail_), width_, row);
         slot.seq.store(tail_ + capacity_, std::memory_order_release);
         ++tail_;
         return true;
@@ -122,6 +139,8 @@ class MpscRing
     }
 
     std::size_t capacity() const { return capacity_; }
+    /** Doubles of row data each slot carries. */
+    std::size_t width() const { return width_; }
 
   private:
     struct Slot
@@ -138,9 +157,17 @@ class MpscRing
         return p;
     }
 
+    double *rowOf(std::size_t pos) const
+    {
+        return rows_.get() + (pos & mask_) * width_;
+    }
+
     std::size_t capacity_;
     std::size_t mask_;
+    std::size_t width_;
     std::unique_ptr<Slot[]> slots_;
+    /** capacity_ x width_ row data; row i belongs to slot i. */
+    std::unique_ptr<double[]> rows_;
     /** Producer reservation counter — the one contended line. */
     alignas(64) std::atomic<std::size_t> head_{0};
     /** Consumer position; plain because exactly one thread pops. */

@@ -130,17 +130,19 @@ RequestQueue::normalizeConfig(QueueConfig config)
     return config;
 }
 
-RequestQueue::RequestQueue(QueuePolicy policy)
-    : RequestQueue([&] {
-          QueueConfig config;
-          config.lanes.push_back(policy);
-          return config;
-      }())
+RequestQueue::RequestQueue(QueuePolicy policy, std::size_t width)
+    : RequestQueue(
+          [&] {
+              QueueConfig config;
+              config.lanes.push_back(policy);
+              return config;
+          }(),
+          width)
 {
 }
 
-RequestQueue::RequestQueue(QueueConfig config)
-    : config_(normalizeConfig(std::move(config))),
+RequestQueue::RequestQueue(QueueConfig config, std::size_t width)
+    : config_(normalizeConfig(std::move(config))), width_(width),
       metricsOwned_(config_.metrics != nullptr
                         ? nullptr
                         : std::make_unique<telemetry::MetricRegistry>()),
@@ -149,8 +151,9 @@ RequestQueue::RequestQueue(QueueConfig config)
       lanes_(config_.lanes.size())
 {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        lanes_[i].ring = std::make_unique<MpscRing<Request>>(
-            ringCapacityFor(config_.lanes[i]));
+        lanes_[i].ring = std::make_unique<MpscRing<Admitted>>(
+            ringCapacityFor(config_.lanes[i]), width_);
+        lanes_[i].staged = StagedRows(width_);
         lanes_[i].counters.bind(*metrics_, i);
     }
 }
@@ -178,17 +181,19 @@ RequestQueue::wakeConsumer()
 }
 
 void
-RequestQueue::publishAdmitted(std::size_t lane_index, Request request)
+RequestQueue::publishAdmitted(std::size_t lane_index, std::uint64_t id,
+                              const double *row)
 {
     Lane &state = lanes_[lane_index];
+    Admitted request;
+    request.id = id;
     request.enqueuedAt = Clock::now();
-    request.lane = lane_index;
     // A bounded lane can't fill its ring (capacity >= maxDepth >=
     // outstanding tickets), so this loop runs once on the hot path.
     // Unbounded or over-cap lanes can hit a full lap when producers
     // outrun the consumer — keep the consumer awake and yield until it
     // frees slots; that IS the flow control for those lanes.
-    while (!state.ring->tryPush(request)) {
+    while (!state.ring->tryPush(request, row)) {
         wakeConsumer();
         std::this_thread::yield();
     }
@@ -197,7 +202,7 @@ RequestQueue::publishAdmitted(std::size_t lane_index, Request request)
 }
 
 Admission
-RequestQueue::push(Request request, std::size_t lane)
+RequestQueue::push(std::uint64_t id, const double *row, std::size_t lane)
 {
     if (lane >= lanes_.size())
         throw std::out_of_range("RequestQueue: lane out of range");
@@ -222,17 +227,18 @@ RequestQueue::push(Request request, std::size_t lane)
                 state.counters.shed->add();
                 return Admission::kShed;
             }
-            return pushBlocking(std::move(request), lane);
+            return pushBlocking(id, row, lane);
         }
     } else {
         state.depthTickets.fetch_add(1, std::memory_order_relaxed);
     }
-    publishAdmitted(lane, std::move(request));
+    publishAdmitted(lane, id, row);
     return Admission::kAdmitted;
 }
 
 Admission
-RequestQueue::pushBlocking(Request request, std::size_t lane_index)
+RequestQueue::pushBlocking(std::uint64_t id, const double *row,
+                           std::size_t lane_index)
 {
     Lane &state = lanes_[lane_index];
     const QueuePolicy &policy = config_.lanes[lane_index];
@@ -282,7 +288,7 @@ RequestQueue::pushBlocking(Request request, std::size_t lane_index)
             }
         }
     }
-    publishAdmitted(lane_index, std::move(request));
+    publishAdmitted(lane_index, id, row);
     return Admission::kAdmitted;
 }
 
@@ -319,13 +325,41 @@ RequestQueue::releaseSpace(std::size_t lane_index, std::size_t freed)
 }
 
 void
+RequestQueue::StagedRows::drain(MpscRing<Admitted> &ring)
+{
+    // Single consumer: a slot canPop() reports stays poppable until we
+    // pop it, so the FIFO grows only for a row that is really there.
+    while (ring.canPop()) {
+        if (count_ == meta_.size())
+            grow();
+        std::size_t tail = (head_ + count_) & (meta_.size() - 1);
+        ring.tryPop(meta_[tail], rows_.data() + tail * width_);
+        ++count_;
+    }
+}
+
+void
+RequestQueue::StagedRows::grow()
+{
+    std::size_t capacity = std::max<std::size_t>(16, 2 * meta_.size());
+    std::vector<Admitted> meta(capacity);
+    std::vector<double> rows(capacity * width_);
+    for (std::size_t i = 0; i < count_; ++i) {
+        std::size_t from = (head_ + i) & (meta_.size() - 1);
+        meta[i] = meta_[from];
+        std::copy_n(rows_.data() + from * width_, width_,
+                    rows.data() + i * width_);
+    }
+    meta_ = std::move(meta);
+    rows_ = std::move(rows);
+    head_ = 0;
+}
+
+void
 RequestQueue::drainRings()
 {
-    for (Lane &state : lanes_) {
-        Request row;
-        while (state.ring->tryPop(row))
-            state.staged.push_back(std::move(row));
-    }
+    for (Lane &state : lanes_)
+        state.staged.drain(*state.ring);
 }
 
 bool
@@ -396,13 +430,14 @@ RequestQueue::readyLane(Clock::time_point now, FlushReason &reason,
     return best;
 }
 
-RequestBatch
+void
 RequestQueue::takeBatch(std::size_t lane_index, FlushReason reason,
-                        bool aged, std::vector<DroppedRow> &dropped)
+                        bool aged, std::vector<DroppedRow> &dropped,
+                        RequestBatch &batch)
 {
     Lane &state = lanes_[lane_index];
     const QueuePolicy &policy = config_.lanes[lane_index];
-    RequestBatch batch;
+    batch.requests.clear();
     batch.reason = reason;
     batch.lane = lane_index;
 
@@ -419,7 +454,7 @@ RequestQueue::takeBatch(std::size_t lane_index, FlushReason reason,
         while (!state.staged.empty() &&
                state.staged.front().enqueuedAt < cutoff) {
             if (config_.onDrop) {
-                const Request &front = state.staged.front();
+                const Admitted &front = state.staged.front();
                 DroppedRow drop;
                 drop.ticket = front.id;
                 drop.lane = lane_index;
@@ -429,21 +464,31 @@ RequestQueue::takeBatch(std::size_t lane_index, FlushReason reason,
                         .count());
                 dropped.push_back(drop);
             }
-            state.staged.pop_front();
+            state.staged.popFront();
             state.counters.earlyDropped->add();
             ++freed;
         }
         if (state.staged.empty()) {
             releaseSpace(lane_index, freed);
-            return batch;  // everything aged out; no flush to count.
+            return;  // everything aged out; no flush to count.
         }
     }
 
     std::size_t take = std::min(state.staged.size(), policy.maxBatch);
-    batch.requests.reserve(take);
+    // Size both buffers before any view is taken: a resize that
+    // reallocates rows must not strand a view.
+    batch.requests.resize(take);
+    batch.rows.resize(take * width_);
     for (std::size_t i = 0; i < take; ++i) {
-        batch.requests.push_back(std::move(state.staged.front()));
-        state.staged.pop_front();
+        const Admitted &front = state.staged.front();
+        Request &request = batch.requests[i];
+        double *row = batch.rows.data() + i * width_;
+        std::copy_n(state.staged.frontRow(), width_, row);
+        request.id = front.id;
+        request.lane = lane_index;
+        request.features = RowView(row, width_);
+        request.enqueuedAt = front.enqueuedAt;
+        state.staged.popFront();
     }
     freed += take;
     switch (reason) {
@@ -460,7 +505,6 @@ RequestQueue::takeBatch(std::size_t lane_index, FlushReason reason,
     if (aged)
         state.counters.agedFlushes->add();
     releaseSpace(lane_index, freed);
-    return batch;
 }
 
 void
@@ -514,8 +558,8 @@ RequestQueue::sleepUntilWork(bool any_pending,
     sleeping_.store(false, std::memory_order_relaxed);
 }
 
-std::optional<RequestBatch>
-RequestQueue::pop()
+bool
+RequestQueue::pop(RequestBatch &out)
 {
     std::vector<DroppedRow> dropped;
     for (;;) {
@@ -531,8 +575,10 @@ RequestQueue::pop()
                     break;
                 }
             if (lane == kNoLane) {
-                if (totalTickets() == 0 && ringsEmpty())
-                    return std::nullopt;  // closed and drained.
+                if (totalTickets() == 0 && ringsEmpty()) {
+                    out.requests.clear();
+                    return false;  // closed and drained.
+                }
                 // An admitted row is still in flight between its door
                 // ticket and its ring slot (or a granted waiter has
                 // not published yet); it must drain, not vanish.
@@ -544,12 +590,11 @@ RequestQueue::pop()
                         config_.lanes[lane].maxBatch
                     ? FlushReason::kSize
                     : FlushReason::kDrain;
-            RequestBatch batch =
-                takeBatch(lane, reason, false, dropped);
+            takeBatch(lane, reason, false, dropped, out);
             fireDrops(dropped);
-            if (batch.requests.empty())
+            if (out.requests.empty())
                 continue;  // every row early-dropped; keep draining.
-            return batch;
+            return true;
         }
 
         FlushReason reason = FlushReason::kSize;
@@ -557,13 +602,13 @@ RequestQueue::pop()
         auto now = Clock::now();
         if (std::size_t lane = readyLane(now, reason, aged);
             lane != kNoLane) {
-            RequestBatch batch = takeBatch(lane, reason, aged, dropped);
+            takeBatch(lane, reason, aged, dropped, out);
             // Drop callbacks run with no lock held and after the
             // tickets went back — onDrop may legally push().
             fireDrops(dropped);
-            if (batch.requests.empty())
+            if (out.requests.empty())
                 continue;  // every row early-dropped; look again.
-            return batch;
+            return true;
         }
 
         // No lane ready: spin briefly, then sleep until the earliest

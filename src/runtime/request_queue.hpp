@@ -68,10 +68,19 @@
  *     tickets to the waiters at the head of the list, in arrival
  *     order, before returning the remainder to the door.
  *
- * The consumer drains the rings into per-lane staging deques and makes
+ * The consumer drains the rings into per-lane staging FIFOs and makes
  * all flush decisions there, single-threaded — so batch composition,
  * flush accounting, and early-drop behavior are bit-identical to the
  * mutex queue's, and deterministic for a given arrival order.
+ *
+ * Row lifecycle (no heap allocation per request or per batch once the
+ * buffers have grown to their working size): the queue is built for a
+ * fixed row width. push() copies the caller's row into its ring slot;
+ * the consumer copies it out into the lane's staging FIFO (flat
+ * metadata plus flat rows, storage reused) before freeing the slot;
+ * pop() copies a batch's rows into the caller's RequestBatch, one
+ * contiguous rows x width buffer whose capacity the caller keeps
+ * across pops, and each Request::features views its row there.
  *
  * Thread model: any number of producers push(); exactly ONE consumer
  * thread pop()s (runtime::Server's batcher — the single-consumer
@@ -88,7 +97,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "runtime/mpsc_ring.hpp"
@@ -208,22 +216,62 @@ struct QueueConfig
     telemetry::MetricRegistry *metrics = nullptr;
 };
 
-/** One queued inference request. */
+/**
+ * Read-only view of one model-input row: size() doubles at data(). The
+ * repository builds as C++17, which has no std::span; this is the
+ * subset the serving path reads. It owns nothing.
+ */
+class RowView
+{
+  public:
+    RowView() = default;
+    RowView(const double *data, std::size_t size) : data_(data), size_(size)
+    {
+    }
+
+    const double *data() const { return data_; }
+    std::size_t size() const { return size_; }
+    const double &operator[](std::size_t i) const { return data_[i]; }
+    const double *begin() const { return data_; }
+    const double *end() const { return data_ + size_; }
+
+  private:
+    const double *data_ = nullptr;
+    std::size_t size_ = 0;
+};
+
+/** One popped inference request. */
 struct Request
 {
     std::uint64_t id = 0;               ///< caller-assigned ticket.
-    std::size_t lane = 0;               ///< set by push().
-    std::vector<double> features;       ///< one model-input row.
+    std::size_t lane = 0;               ///< the lane it was pushed to.
+    /** Its row inside the batch's buffer (RequestBatch::rows): valid
+     *  until the batch is next popped into, so a callback must copy
+     *  what it keeps. */
+    RowView features;
     std::chrono::steady_clock::time_point enqueuedAt;  ///< set by push().
 };
 
 /** Why a batch was released. */
 enum class FlushReason { kSize, kDeadline, kDrain };
 
-/** One released batch (single-lane by construction). */
+/**
+ * One released batch (single-lane by construction). pop() refills it
+ * in place, so a consumer that keeps one batch across pops reuses its
+ * buffers. Move-only: every request's features view points into rows.
+ */
 struct RequestBatch
 {
+    RequestBatch() = default;
+    RequestBatch(const RequestBatch &) = delete;
+    RequestBatch &operator=(const RequestBatch &) = delete;
+    RequestBatch(RequestBatch &&) = default;
+    RequestBatch &operator=(RequestBatch &&) = default;
+
     std::vector<Request> requests;
+    /** requests.size() x width row-major; requests[i].features views
+     *  row i. */
+    std::vector<double> rows;
     FlushReason reason = FlushReason::kSize;
     std::size_t lane = 0;
 };
@@ -284,22 +332,26 @@ QueueCounters queueCountersFrom(const telemetry::MetricsSnapshot &snapshot,
 class RequestQueue
 {
   public:
-    /** Single-lane queue in kShed mode — the PR 4 front door. */
-    explicit RequestQueue(QueuePolicy policy = {});
-    /** Multi-lane queue; config.lanes[0] is the most urgent. */
-    explicit RequestQueue(QueueConfig config);
+    /** Single-lane queue in kShed mode — the PR 4 front door — for
+     *  rows of @p width doubles. */
+    explicit RequestQueue(QueuePolicy policy = {}, std::size_t width = 0);
+    /** Multi-lane queue for rows of @p width doubles;
+     *  config.lanes[0] is the most urgent. */
+    explicit RequestQueue(QueueConfig config, std::size_t width = 0);
 
     /**
-     * Admit one request into @p lane (its enqueuedAt and lane are
-     * stamped here). Returns kAdmitted when queued; otherwise the
-     * request is not retained and the outcome is counted against the
-     * lane. Lock-free in kShed/kEarlyDrop modes and whenever the lane
-     * has space. In kBlockWithTimeout mode a push to a full lane waits
-     * up to blockTimeoutUs for a flush to free space — waiters admit
-     * in arrival order — and close() wakes it, to fail fast. Throws
+     * Admit request @p id with the width() doubles at @p row (copied
+     * here; null when width() is 0) into @p lane, stamping its
+     * enqueuedAt. Returns kAdmitted when queued; otherwise nothing is
+     * retained and the outcome is counted against the lane. Lock-free
+     * in kShed/kEarlyDrop modes and whenever the lane has space. In
+     * kBlockWithTimeout mode a push to a full lane waits up to
+     * blockTimeoutUs for a flush to free space — waiters admit in
+     * arrival order — and close() wakes it, to fail fast. Throws
      * std::out_of_range for an unknown lane.
      */
-    Admission push(Request request, std::size_t lane = 0);
+    Admission push(std::uint64_t id, const double *row,
+                   std::size_t lane = 0);
 
     /**
      * Block until some lane releases a batch: maxBatch rows pending,
@@ -309,10 +361,12 @@ class RequestQueue
      * preserve arrival order within their lane. In kEarlyDrop mode,
      * rows older than their lane's dropAfterUs are removed (and
      * counted) before the batch is formed; a flush whose rows all
-     * dropped is not returned — pop() keeps going. Returns nullopt
-     * once closed and fully drained. Single consumer thread only.
+     * dropped is not returned — pop() keeps going. The batch is
+     * written into @p out, reusing its buffers (see RequestBatch).
+     * Returns false, with @p out emptied, once closed and fully
+     * drained. Single consumer thread only.
      */
-    std::optional<RequestBatch> pop();
+    bool pop(RequestBatch &out);
 
     /** Stop admissions; pending rows remain poppable (drain). */
     void close();
@@ -324,6 +378,8 @@ class RequestQueue
     QueueCounters counters(std::size_t lane) const;
 
     std::size_t lanes() const { return config_.lanes.size(); }
+    /** Doubles per admitted row. */
+    std::size_t width() const { return width_; }
     const QueuePolicy &policy(std::size_t lane = 0) const
     {
         return config_.lanes.at(lane);
@@ -364,13 +420,57 @@ class RequestQueue
         bool granted = false;
     };
 
+    /** What a ring slot carries besides the row itself. */
+    struct Admitted
+    {
+        std::uint64_t id = 0;
+        std::chrono::steady_clock::time_point enqueuedAt;
+    };
+
+    /**
+     * Consumer-private FIFO of rows drained from a lane's ring, awaiting
+     * a flush decision: flat metadata plus flat rows in one circular
+     * buffer that doubles when full and never shrinks, so staging stops
+     * allocating once it has held the lane's largest backlog.
+     */
+    class StagedRows
+    {
+      public:
+        explicit StagedRows(std::size_t width = 0) : width_(width) {}
+
+        bool empty() const { return count_ == 0; }
+        std::size_t size() const { return count_; }
+        const Admitted &front() const { return meta_[head_]; }
+        const double *frontRow() const
+        {
+            return rows_.data() + head_ * width_;
+        }
+        void popFront()
+        {
+            head_ = (head_ + 1) & (meta_.size() - 1);
+            --count_;
+        }
+        /** Move every published row of @p ring onto the back. */
+        void drain(MpscRing<Admitted> &ring);
+
+      private:
+        /** Double the capacity (minimum 16), unwrapping the FIFO. */
+        void grow();
+
+        std::vector<Admitted> meta_;  ///< capacity: a power of two.
+        std::vector<double> rows_;    ///< meta_.size() x width_.
+        std::size_t head_ = 0;
+        std::size_t count_ = 0;
+        std::size_t width_ = 0;
+    };
+
     struct Lane
     {
         /** The lock-free admission path: producers publish here. */
-        std::unique_ptr<MpscRing<Request>> ring;
+        std::unique_ptr<MpscRing<Admitted>> ring;
         /** Consumer-private: rows drained from the ring, awaiting a
          *  flush decision. Never touched by producers. */
-        std::deque<Request> staged;
+        StagedRows staged;
         /** FIFO of blocked producers (kBlockWithTimeout), arrival
          *  order; guarded by mutex_. */
         std::deque<BlockedWaiter *> waiters;
@@ -398,14 +498,17 @@ class RequestQueue
      *  constructors; runs before lanes_ is sized off the config). */
     static QueueConfig normalizeConfig(QueueConfig config);
 
-    /** Stamp @p request and publish it into @p lane's ring. Spins
-     *  (with consumer wakeups) on the transient-full window, then
-     *  counts the admission and wakes a sleeping consumer. */
-    void publishAdmitted(std::size_t lane, Request request);
+    /** Stamp request @p id and publish it with @p row into @p lane's
+     *  ring. Spins (with consumer wakeups) on the transient-full
+     *  window, then counts the admission and wakes a sleeping
+     *  consumer. */
+    void publishAdmitted(std::size_t lane, std::uint64_t id,
+                         const double *row);
 
     /** kBlockWithTimeout slow path: join the lane's FIFO waiter list
      *  and wait for a transferred ticket, a timeout, or close(). */
-    Admission pushBlocking(Request request, std::size_t lane);
+    Admission pushBlocking(std::uint64_t id, const double *row,
+                           std::size_t lane);
 
     /** Return @p freed depth tickets to @p lane. In block mode the
      *  head waiters get them first (FIFO grants, under the mutex);
@@ -417,7 +520,7 @@ class RequestQueue
     void wakeConsumer();
 
     /** Move every published row from the rings into the staging
-     *  deques (consumer only). */
+     *  FIFOs (consumer only). */
     void drainRings();
 
     /** True when no lane's ring has a poppable row (consumer only). */
@@ -433,11 +536,11 @@ class RequestQueue
     std::size_t readyLane(std::chrono::steady_clock::time_point now,
                           FlushReason &reason, bool &aged) const;
 
-    /** Form a batch from @p lane's staging deque: early-drop filter,
-     *  up to maxBatch rows, flush accounting, ticket release.
+    /** Form a batch in @p out from @p lane's staging FIFO: early-drop
+     *  filter, up to maxBatch rows, flush accounting, ticket release.
      *  Consumer only; can come back empty when every row aged out. */
-    RequestBatch takeBatch(std::size_t lane, FlushReason reason,
-                           bool aged, std::vector<DroppedRow> &dropped);
+    void takeBatch(std::size_t lane, FlushReason reason, bool aged,
+                   std::vector<DroppedRow> &dropped, RequestBatch &out);
 
     /** Deliver @p dropped to onDrop (no lock held) and clear it. */
     void fireDrops(std::vector<DroppedRow> &dropped);
@@ -455,6 +558,7 @@ class RequestQueue
                         std::chrono::steady_clock::time_point earliest);
 
     QueueConfig config_;
+    std::size_t width_ = 0;
     /** Private registry when the config supplied none. Declared before
      *  lanes_ so lane counters can bind to it during construction. */
     std::unique_ptr<telemetry::MetricRegistry> metricsOwned_;

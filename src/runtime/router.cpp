@@ -177,14 +177,12 @@ Router::modelForLane(std::size_t lane) const
                                             : defaultModel_];
 }
 
-Router::Snapshot
-Router::snapshot() const
+void
+Router::snapshot(Snapshot &out) const
 {
-    Snapshot snap;
-    snap.epochs.reserve(models_.size());
+    out.epochs.clear();
     for (const std::string &name : models_)
-        snap.epochs.push_back(registry_->active(name));
-    return snap;
+        out.epochs.push_back(registry_->active(name));
 }
 
 bool
@@ -359,8 +357,7 @@ Router::runBatch(const Snapshot &snapshot, std::size_t lane,
             // model's training moments, never a neighbor's.
             scratch.input.resizeRows(group.size());
             for (std::size_t g = 0; g < group.size(); ++g) {
-                const std::vector<double> &raw =
-                    requests[group[g]].features;
+                const double *raw = requests[group[g]].features.data();
                 double *row = scratch.input.rowPtr(g);
                 if (epoch.scaler) {
                     const std::vector<double> &means =

@@ -200,7 +200,9 @@ class Router
         std::vector<std::shared_ptr<const ModelEpoch>> epochs;
     };
 
-    Snapshot snapshot() const;
+    /** Pin every routed model's active epoch into @p out, replacing
+     *  what it held; a reused Snapshot keeps its capacity. */
+    void snapshot(Snapshot &out) const;
 
     /** Reusable buffers so steady-state runBatch() calls stay
      *  allocation-light. Not shareable between concurrent calls. */

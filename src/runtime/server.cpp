@@ -263,7 +263,10 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, RouteConfig route,
       // starts. It shares this server's registry so one snapshot
       // covers all layers.
       router_(registry_, std::move(route), metrics_.get()),
-      queue_(makeQueueConfig()), startedAt_(Clock::now())
+      // Slots carry rows of the routed models' shared input width,
+      // which ModelRegistry keeps fixed across versions.
+      queue_(makeQueueConfig(), router_.inputDim()),
+      startedAt_(Clock::now())
 {
     nextId_.store(config_.ticketBase != 0 ? config_.ticketBase : 1);
     bindInstruments();
@@ -283,18 +286,15 @@ Server::engine() const
 }
 
 SubmitResult
-Server::submit(std::vector<double> features, std::size_t lane)
+Server::submit(const double *row, std::size_t width, std::size_t lane)
 {
-    if (features.size() != router_.inputDim())
+    if (width != router_.inputDim())
         throw std::runtime_error(common::format(
-            "Server: row has %zu features, model expects %zu",
-            features.size(), router_.inputDim()));
-    Request request;
+            "Server: row has %zu features, model expects %zu", width,
+            router_.inputDim()));
     std::uint64_t id = nextId_.fetch_add(1);
-    request.id = id;
-    request.features = std::move(features);
     SubmitResult result;
-    result.status = submitStatusFor(queue_.push(std::move(request), lane));
+    result.status = submitStatusFor(queue_.push(id, row, lane));
     if (result.admitted())
         result.ticket = id;
     return result;
@@ -308,7 +308,9 @@ Server::submitPacket(const net::PacketView &packet, std::size_t lane)
             "Server: model expects %zu features but the packet "
             "extractor emits %zu",
             router_.inputDim(), net::kNumTcFeatures));
-    return submit(extractor_.extract(packet), lane);
+    double row[net::kNumTcFeatures];
+    extractor_.extractInto(packet, row);
+    return submit(row, net::kNumTcFeatures, lane);
 }
 
 SubmitResult
@@ -344,8 +346,7 @@ Server::submitFrame(const std::vector<std::uint8_t> &frame,
 void
 Server::servedSliceStats(const RequestBatch &batch, std::size_t begin,
                          std::size_t end, Clock::time_point finished,
-                         double batch_us,
-                         const std::vector<RouteStepStats> &steps,
+                         double batch_us, ServeBuffers &buffers,
                          const RouteBatchOutcome &outcome)
 {
     LaneInstruments &lane = laneIns_[batch.lane];
@@ -356,14 +357,17 @@ Server::servedSliceStats(const RequestBatch &batch, std::size_t begin,
     ins_.deadlineTruncated->add(outcome.deadlineTruncated);
     ins_.fallbackRows->add(outcome.fallbackRows);
     ins_.batchLatencyUs->observe(batch_us);
-    for (std::size_t r = begin; r < end; ++r) {
-        double wait_us = std::chrono::duration<double, std::micro>(
-                             finished - batch.requests[r].enqueuedAt)
-                             .count();
-        ins_.requestLatencyUs->observe(wait_us);
-        lane.requestLatencyUs->observe(wait_us);
-    }
-    for (const RouteStepStats &step : steps) {
+    // Each reservoir sees the slice's latencies in row order, one lock
+    // per reservoir per slice.
+    std::vector<double> &latencies = buffers.latenciesUs;
+    latencies.clear();
+    for (std::size_t r = begin; r < end; ++r)
+        latencies.push_back(std::chrono::duration<double, std::micro>(
+                                finished - batch.requests[r].enqueuedAt)
+                                .count());
+    ins_.requestLatencyUs->observeMany(latencies.data(), latencies.size());
+    lane.requestLatencyUs->observeMany(latencies.data(), latencies.size());
+    for (const RouteStepStats &step : buffers.steps) {
         ModelInstruments &model = modelIns_[step.model];
         model.steps->add();
         model.rows->add(step.rows);
@@ -435,13 +439,13 @@ Server::failSlice(const RequestBatch &batch, std::size_t begin,
 }
 
 void
-Server::runSlice(RequestBatch &batch, std::size_t begin,
+Server::runSlice(const RequestBatch &batch, std::size_t begin,
                  std::size_t end, std::size_t depth,
                  ServeBuffers &buffers)
 {
     if (begin >= end)
         return;
-    std::vector<Request> &requests = batch.requests;
+    const std::vector<Request> &requests = batch.requests;
     const std::size_t rows = end - begin;
     const std::size_t dim = router_.inputDim();
     RouteBatchOutcome outcome;
@@ -471,12 +475,14 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
         // slice — every chained hop included — executes against this
         // snapshot, so a concurrent swap() only moves the next batch (a
         // bisect-retried half re-pins, like any new batch).
-        Router::Snapshot snapshot = router_.snapshot();
+        router_.snapshot(buffers.snapshot);
         outcome = router_.runBatch(
-            snapshot, batch.lane, requests.data() + begin, rows,
+            buffers.snapshot, batch.lane, requests.data() + begin, rows,
             buffers.labels, collect_traces ? &buffers.traces : nullptr,
             buffers.steps, buffers.scratch, injector_);
+        buffers.snapshot.epochs.clear();
     } catch (const std::exception &e) {
+        buffers.snapshot.epochs.clear();
         if (rows > 1 && depth < config_.retryDepth) {
             // Bisect-retry: split the slice and run the halves
             // independently. Poison rows re-fail down to singletons;
@@ -520,8 +526,8 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
     }
     // Bookkeeping after delivery, off the verdict's critical path; it
     // records the same values either way (latencies end at finished).
-    servedSliceStats(batch, begin, end, finished, batch_us,
-                     buffers.steps, outcome);
+    servedSliceStats(batch, begin, end, finished, batch_us, buffers,
+                     outcome);
     recordSpans(batch, begin, end, finished, depth,
                 telemetry::SpanOutcome::kServed,
                 collect_traces ? &buffers.traces : nullptr);
@@ -530,16 +536,18 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
 void
 Server::serveLoop()
 {
-    // One buffer set for every batch: the router scratch and the label
-    // and step vectors keep their capacity across batches, so the hot
-    // loop stops allocating once the largest batch has been seen.
+    // One buffer set for every batch: the popped batch, the router
+    // scratch, the snapshot and the label and step vectors keep their
+    // capacity across batches, so the hot loop stops allocating once
+    // the largest batch has been seen.
     ServeBuffers buffers;
+    RequestBatch batch;
 
     // The supervisor: every popped batch executes inside runSlice's
     // try/catch, so nothing a batch does — engine throw, router throw,
     // poison row, injected fault — can take the batcher thread down.
-    while (std::optional<RequestBatch> batch = queue_.pop())
-        runSlice(*batch, 0, batch->requests.size(), 0, buffers);
+    while (queue_.pop(batch))
+        runSlice(batch, 0, batch.requests.size(), 0, buffers);
 }
 
 ServerStats

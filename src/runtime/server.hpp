@@ -23,7 +23,16 @@
  * one-model registry (kSingleModelName) behind the default route.
  * submitFrame() parses and extracts on the calling thread; rows are
  * admitted raw, and standardization runs on the batcher from each
- * pinned epoch's scaler. Verdicts are bit-identical to running the
+ * pinned epoch's scaler.
+ *
+ * No heap allocation per request or per batch once the buffers have
+ * grown to their working size: submit() copies the row once, into its
+ * admission-ring slot (the queue is built for the routed models' one
+ * input width); submitFrame() extracts into a stack array; the batcher
+ * pops every batch into one reused RequestBatch and runs it with
+ * reused router, label and snapshot buffers. Request::features, as
+ * passed to the callbacks, views the row inside that batch and is
+ * valid only for the duration of the callback. Verdicts are bit-identical to running the
  * same rows through ExecutablePlan in one call — batching never
  * changes labels. (In kEarlyDrop mode an admitted row can still be
  * dropped at flush time if it aged past its lane's budget; dropped
@@ -314,12 +323,20 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Admit one feature row (raw extractor-domain values) into @p lane.
-     * Throws std::out_of_range for an unknown lane and
-     * std::runtime_error for a row of the wrong width.
+     * Admit the @p width feature values at @p row (raw extractor-domain
+     * values, copied before the call returns) into @p lane. Throws
+     * std::out_of_range for an unknown lane and std::runtime_error for
+     * a row of the wrong width.
      */
-    SubmitResult submit(std::vector<double> features,
+    SubmitResult submit(const double *row, std::size_t width,
                         std::size_t lane = 0);
+
+    /** submit() over @p features' data and size. */
+    SubmitResult submit(const std::vector<double> &features,
+                        std::size_t lane = 0)
+    {
+        return submit(features.data(), features.size(), lane);
+    }
 
     /** Parse a wire frame and admit it. A malformed frame is counted,
      *  assigned a ticket, reported through onFailure under that
@@ -387,8 +404,13 @@ class Server
     {
         std::vector<int> labels;
         Router::Scratch scratch;
+        /** Refilled per slice; emptied after each run so a swapped-out
+         *  epoch is not held between batches. */
+        Router::Snapshot snapshot;
         std::vector<RouteTrace> traces;
         std::vector<RouteStepStats> steps;
+        std::vector<double> latenciesUs;  ///< one slice's, admission ->
+                                          ///< verdict.
     };
 
     void serveLoop();
@@ -398,7 +420,7 @@ class Server
      * slice splits) or fails the slice. Success delivers guarded
      * callbacks, then records stats.
      */
-    void runSlice(RequestBatch &batch, std::size_t begin,
+    void runSlice(const RequestBatch &batch, std::size_t begin,
                   std::size_t end, std::size_t depth,
                   ServeBuffers &buffers);
     /** Terminal failure of [begin, end): counters + onFailure each
@@ -407,12 +429,11 @@ class Server
                    std::size_t end, std::size_t depth,
                    const std::string &error);
     /** Record one served slice into the registry instruments (lane,
-     *  aggregate, and per model from @p steps). */
+     *  aggregate, and per model from @p buffers.steps). */
     void servedSliceStats(const RequestBatch &batch, std::size_t begin,
                           std::size_t end,
                           std::chrono::steady_clock::time_point finished,
-                          double batch_us,
-                          const std::vector<RouteStepStats> &steps,
+                          double batch_us, ServeBuffers &buffers,
                           const RouteBatchOutcome &outcome);
     /** Record one span per request of [begin, end) into the trace
      *  sink (no-op when no sink is bound). @p traces supplies the hop

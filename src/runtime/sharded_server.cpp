@@ -136,11 +136,10 @@ ShardedServer::shardFor(std::uint64_t flow_key) const
 }
 
 SubmitResult
-ShardedServer::submit(std::uint64_t flow_key,
-                      std::vector<double> features, std::size_t lane)
+ShardedServer::submit(std::uint64_t flow_key, const double *row,
+                      std::size_t width, std::size_t lane)
 {
-    return servers_[shardFor(flow_key)]->submit(std::move(features),
-                                                lane);
+    return servers_[shardFor(flow_key)]->submit(row, width, lane);
 }
 
 SubmitResult

@@ -110,11 +110,19 @@ class ShardedServer
     ShardedServer(const ShardedServer &) = delete;
     ShardedServer &operator=(const ShardedServer &) = delete;
 
-    /** Admit one feature row for @p flow_key's shard. Same contract
-     *  as Server::submit (width check, lane). */
+    /** Admit the @p width feature values at @p row for @p flow_key's
+     *  shard. Same contract as Server::submit (copy, width check,
+     *  lane). */
+    SubmitResult submit(std::uint64_t flow_key, const double *row,
+                        std::size_t width, std::size_t lane = 0);
+
+    /** submit() over @p features' data and size. */
     SubmitResult submit(std::uint64_t flow_key,
-                        std::vector<double> features,
-                        std::size_t lane = 0);
+                        const std::vector<double> &features,
+                        std::size_t lane = 0)
+    {
+        return submit(flow_key, features.data(), features.size(), lane);
+    }
 
     /** Parse a wire frame, key it by 5-tuple, and admit it on the
      *  owning shard. A malformed frame never reaches a shard: the

@@ -70,20 +70,25 @@ fnv1a(const std::string &text)
 // --------------------------------------------------------------- Histogram
 
 void
-Histogram::observe(double value)
+Histogram::observeMany(const double *values, std::size_t n)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++seen_;
-    if (samples_.size() < kHistogramReservoirSize) {
-        samples_.push_back(value);
-        return;
+    if (n != 0 && samples_.capacity() < kHistogramReservoirSize)
+        samples_.reserve(kHistogramReservoirSize);
+    for (std::size_t i = 0; i < n; ++i) {
+        ++seen_;
+        if (samples_.size() < kHistogramReservoirSize) {
+            samples_.push_back(values[i]);
+            continue;
+        }
+        // Algorithm R: replace a uniform slot in [0, seen) if it lands
+        // inside the reservoir — keeps the sample uniform over the
+        // stream.
+        auto slot = static_cast<std::uint64_t>(
+            rng_.uniformInt(0, static_cast<std::int64_t>(seen_) - 1));
+        if (slot < kHistogramReservoirSize)
+            samples_[static_cast<std::size_t>(slot)] = values[i];
     }
-    // Algorithm R: replace a uniform slot in [0, seen) if it lands
-    // inside the reservoir — keeps the sample uniform over the stream.
-    auto slot = static_cast<std::uint64_t>(
-        rng_.uniformInt(0, static_cast<std::int64_t>(seen_) - 1));
-    if (slot < kHistogramReservoirSize)
-        samples_[static_cast<std::size_t>(slot)] = value;
 }
 
 std::uint64_t

@@ -116,7 +116,9 @@ class Gauge
  * observation is retained (percentiles are exact), above it each new
  * observation replaces a uniformly chosen slot. Guarded by a
  * per-histogram mutex; the serving hot path observes from exactly one
- * batcher thread per histogram, so the lock is uncontended there.
+ * batcher thread per histogram, so the lock is uncontended there. The
+ * reservoir is allocated whole on the first observation, so recording
+ * never reallocates.
  */
 class Histogram
 {
@@ -124,7 +126,11 @@ class Histogram
     explicit Histogram(std::uint64_t seed) : rng_(seed) {}
 
     /** Record one observation. */
-    void observe(double value);
+    void observe(double value) { observeMany(&value, 1); }
+
+    /** Record @p n observations in order under one lock: the same
+     *  reservoir, count and Rng draws as n observe() calls. */
+    void observeMany(const double *values, std::size_t n);
 
     /** Total observations ever recorded (not capped by the reservoir). */
     std::uint64_t count() const;

@@ -75,6 +75,7 @@ featureRows(std::uint64_t seed, std::size_t rows, std::size_t cols)
     return x;
 }
 
+/** Requests viewing the rows of @p x, which must outlive them. */
 std::vector<hr::Request>
 requestsFrom(const hm::Matrix &x)
 {
@@ -82,7 +83,7 @@ requestsFrom(const hm::Matrix &x)
     auto now = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < x.rows(); ++r) {
         requests[r].id = r + 1;
-        requests[r].features = x.row(r);
+        requests[r].features = hr::RowView(x.rowPtr(r), x.cols());
         requests[r].enqueuedAt = now;
     }
     return requests;
@@ -438,7 +439,9 @@ struct BreakerRig
     hr::RouteBatchOutcome run(const std::vector<hr::Request> &requests,
                               hf::FaultInjector *injector)
     {
-        return router->runBatch(router->snapshot(), 0, requests.data(),
+        hr::Router::Snapshot pinned;
+        router->snapshot(pinned);
+        return router->runBatch(pinned, 0, requests.data(),
                                 requests.size(), labels, &traces, steps,
                                 scratch, injector);
     }
@@ -547,8 +550,8 @@ TEST(Breaker, OpenWithoutFallbackFailsTheBatch)
 
     hf::FaultInjector injector;
     injector.arm("router.hop.a", 1.0, 1);
-    std::vector<hr::Request> requests =
-        requestsFrom(featureRows(43, 4, 4));
+    hm::Matrix x = featureRows(43, 4, 4);
+    std::vector<hr::Request> requests = requestsFrom(x);
     EXPECT_THROW(rig.run(requests, &injector), hf::FaultInjectedError);
     // Open + no fallback: the router refuses the batch outright (the
     // Server supervisor turns this into per-request failures).
@@ -626,9 +629,11 @@ TEST(Breaker, DeadlineTruncatesChainHopsButNeverTheEntryHop)
     std::vector<hr::RouteTrace> traces;
     std::vector<hr::RouteStepStats> steps;
     hr::Router::Scratch scratch;
+    hr::Router::Snapshot pinned;
+    router.snapshot(pinned);
     hr::RouteBatchOutcome outcome =
-        router.runBatch(router.snapshot(), 0, requests.data(),
-                        requests.size(), labels, &traces, steps, scratch);
+        router.runBatch(pinned, 0, requests.data(), requests.size(),
+                        labels, &traces, steps, scratch);
 
     EXPECT_EQ(outcome.deadlineTruncated, hot_rows);
     ASSERT_GT(hot_rows, 0u);
@@ -640,8 +645,8 @@ TEST(Breaker, DeadlineTruncatesChainHopsButNeverTheEntryHop)
     // Fresh admissions fit the budget: the chain runs normally.
     std::vector<hr::Request> fresh = requestsFrom(x);
     hr::RouteBatchOutcome unbounded =
-        router.runBatch(router.snapshot(), 0, fresh.data(), fresh.size(),
-                        labels, &traces, steps, scratch);
+        router.runBatch(pinned, 0, fresh.data(), fresh.size(), labels,
+                        &traces, steps, scratch);
     EXPECT_EQ(unbounded.deadlineTruncated, 0u);
     std::size_t chained = 0;
     for (std::size_t r = 0; r < x.rows(); ++r)

@@ -74,13 +74,14 @@ featureRows(std::uint64_t seed, std::size_t rows, std::size_t cols)
     return x;
 }
 
+/** Requests viewing the rows of @p x, which must outlive them. */
 std::vector<hr::Request>
 requestsFrom(const hm::Matrix &x)
 {
     std::vector<hr::Request> requests(x.rows());
     for (std::size_t r = 0; r < x.rows(); ++r) {
         requests[r].id = r + 1;
-        requests[r].features = x.row(r);
+        requests[r].features = hr::RowView(x.rowPtr(r), x.cols());
     }
     return requests;
 }
@@ -338,8 +339,10 @@ TEST(Router, ChainsRowsByLabelWithTracesAgainstAManualReference)
     std::vector<hr::RouteTrace> traces;
     std::vector<hr::RouteStepStats> steps;
     hr::Router::Scratch scratch;
-    router.runBatch(router.snapshot(), /*lane=*/0, requests.data(),
-                    requests.size(), labels, &traces, steps, scratch);
+    hr::Router::Snapshot pinned;
+    router.snapshot(pinned);
+    router.runBatch(pinned, /*lane=*/0, requests.data(), requests.size(),
+                    labels, &traces, steps, scratch);
 
     ASSERT_EQ(labels.size(), x.rows());
     ASSERT_EQ(traces.size(), x.rows());
@@ -397,8 +400,10 @@ TEST(Router, MaxChainDepthBoundsRuleCycles)
     std::vector<hr::RouteTrace> traces;
     std::vector<hr::RouteStepStats> steps;
     hr::Router::Scratch scratch;
-    router.runBatch(router.snapshot(), 0, requests.data(),
-                    requests.size(), labels, &traces, steps, scratch);
+    hr::Router::Snapshot pinned;
+    router.snapshot(pinned);
+    router.runBatch(pinned, 0, requests.data(), requests.size(), labels,
+                    &traces, steps, scratch);
 
     for (std::size_t r = 0; r < x.rows(); ++r) {
         EXPECT_EQ(labels[r], ref[r]);  // re-running can't change it.
@@ -503,7 +508,10 @@ TEST(ServerRouting, HotSwapUnderLoadKeepsEveryBatchOnItsPinnedVersion)
         registry, route, config, {},
         [&](const hr::Request &request, const hr::RouteTrace &trace) {
             std::lock_guard<std::mutex> lock(trace_mutex);
-            observed.push_back({request.features, trace});
+            observed.push_back({std::vector<double>(
+                                    request.features.begin(),
+                                    request.features.end()),
+                                trace});
         });
 
     hm::Matrix x = featureRows(404, 2000, 4);

@@ -48,13 +48,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-hr::Request
-makeRequest(std::uint64_t id, std::size_t dim)
+/** Push ticket @p id into @p lane with a row of queue.width() copies
+ *  of the id. */
+hr::Admission
+pushRow(hr::RequestQueue &queue, std::uint64_t id, std::size_t lane = 0)
 {
-    hr::Request request;
-    request.id = id;
-    request.features.assign(dim, static_cast<double>(id));
-    return request;
+    std::vector<double> row(queue.width(), static_cast<double>(id));
+    return queue.push(id, row.data(), lane);
 }
 
 /** A small MLP consuming the packet extractor's schema. */
@@ -93,21 +93,21 @@ TEST(RequestQueue, SizeFlushPreservesArrivalOrder)
     hr::QueuePolicy policy;
     policy.maxBatch = 8;
     policy.maxDelayUs = 60'000'000;  // deadline can't fire in this test.
-    hr::RequestQueue queue(policy);
+    hr::RequestQueue queue(policy, 2);
 
     for (std::uint64_t i = 0; i < 20; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 3)), hr::Admission::kAdmitted);
+        EXPECT_EQ(pushRow(queue, i), hr::Admission::kAdmitted);
 
-    auto first = queue.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->reason, hr::FlushReason::kSize);
-    ASSERT_EQ(first->requests.size(), 8u);
+    hr::RequestBatch first;
+    ASSERT_TRUE(queue.pop(first));
+    EXPECT_EQ(first.reason, hr::FlushReason::kSize);
+    ASSERT_EQ(first.requests.size(), 8u);
     for (std::uint64_t i = 0; i < 8; ++i)
-        EXPECT_EQ(first->requests[i].id, i);
+        EXPECT_EQ(first.requests[i].id, i);
 
-    auto second = queue.pop();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->requests.front().id, 8u);
+    hr::RequestBatch second;
+    ASSERT_TRUE(queue.pop(second));
+    EXPECT_EQ(second.requests.front().id, 8u);
     EXPECT_EQ(queue.depth(), 4u);  // 4 rows below the size trigger left.
     EXPECT_EQ(queue.counters().sizeFlushes, 2u);
 }
@@ -117,19 +117,20 @@ TEST(RequestQueue, DeadlineFlushReleasesPartialBatch)
     hr::QueuePolicy policy;
     policy.maxBatch = 1024;      // size trigger unreachable here.
     policy.maxDelayUs = 20'000;  // 20 ms — CI-proof margin.
-    hr::RequestQueue queue(policy);
+    hr::RequestQueue queue(policy, 2);
 
     auto started = Clock::now();
     for (std::uint64_t i = 0; i < 5; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 3)), hr::Admission::kAdmitted);
-    auto batch = queue.pop();
+        EXPECT_EQ(pushRow(queue, i), hr::Admission::kAdmitted);
+    hr::RequestBatch batch;
+    const bool popped = queue.pop(batch);
     double waited_us = std::chrono::duration<double, std::micro>(
                            Clock::now() - started)
                            .count();
 
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->reason, hr::FlushReason::kDeadline);
-    EXPECT_EQ(batch->requests.size(), 5u);
+    ASSERT_TRUE(popped);
+    EXPECT_EQ(batch.reason, hr::FlushReason::kDeadline);
+    EXPECT_EQ(batch.requests.size(), 5u);
     // The flush must wait roughly maxDelay: not (much) less, and the
     // upper bound is loose only to survive loaded CI machines.
     EXPECT_GE(waited_us, 15'000.0);
@@ -143,11 +144,11 @@ TEST(RequestQueue, AdmissionControlShedsBeyondDepth)
     policy.maxBatch = 64;        // > depth: no size flush interferes.
     policy.maxDelayUs = 60'000'000;
     policy.maxDepth = 10;
-    hr::RequestQueue queue(policy);
+    hr::RequestQueue queue(policy, 2);
 
     std::size_t admitted = 0, shed = 0;
     for (std::uint64_t i = 0; i < 25; ++i)
-        hr::admitted(queue.push(makeRequest(i, 3))) ? ++admitted : ++shed;
+        hr::admitted(pushRow(queue, i)) ? ++admitted : ++shed;
     EXPECT_EQ(admitted, 10u);
     EXPECT_EQ(shed, 15u);
     EXPECT_EQ(queue.depth(), 10u);
@@ -156,9 +157,9 @@ TEST(RequestQueue, AdmissionControlShedsBeyondDepth)
 
     // Draining reopens admission for new arrivals.
     queue.close();
-    auto drained = queue.pop();
-    ASSERT_TRUE(drained.has_value());
-    EXPECT_EQ(drained->requests.size(), 10u);
+    hr::RequestBatch drained;
+    ASSERT_TRUE(queue.pop(drained));
+    EXPECT_EQ(drained.requests.size(), 10u);
 }
 
 TEST(RequestQueue, CloseDrainsEverythingThenReportsExhaustion)
@@ -166,26 +167,27 @@ TEST(RequestQueue, CloseDrainsEverythingThenReportsExhaustion)
     hr::QueuePolicy policy;
     policy.maxBatch = 4;
     policy.maxDelayUs = 60'000'000;
-    hr::RequestQueue queue(policy);
+    hr::RequestQueue queue(policy, 2);
     for (std::uint64_t i = 0; i < 10; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2)), hr::Admission::kAdmitted);
+        EXPECT_EQ(pushRow(queue, i), hr::Admission::kAdmitted);
     queue.close();
-    EXPECT_EQ(queue.push(makeRequest(99, 2)),
+    EXPECT_EQ(pushRow(queue, 99),
               hr::Admission::kRejectedClosed);  // closed door.
 
     // 10 rows at maxBatch 4: two full batches + a 2-row drain tail.
     std::size_t rows = 0;
     std::size_t batches = 0;
-    while (auto batch = queue.pop()) {
-        rows += batch->requests.size();
+    hr::RequestBatch batch;
+    while (queue.pop(batch)) {
+        rows += batch.requests.size();
         ++batches;
-        if (batch->requests.size() < 4)
-            EXPECT_EQ(batch->reason, hr::FlushReason::kDrain);
+        if (batch.requests.size() < 4)
+            EXPECT_EQ(batch.reason, hr::FlushReason::kDrain);
     }
     EXPECT_EQ(rows, 10u);
     EXPECT_EQ(batches, 3u);
     EXPECT_EQ(queue.counters().rejectedClosed, 1u);
-    EXPECT_FALSE(queue.pop().has_value());  // stays exhausted.
+    EXPECT_FALSE(queue.pop(batch));  // stays exhausted.
 }
 
 TEST(RequestQueue, ConsumerBlockedOnEmptyQueueWakesOnPushAndClose)
@@ -193,19 +195,19 @@ TEST(RequestQueue, ConsumerBlockedOnEmptyQueueWakesOnPushAndClose)
     hr::QueuePolicy policy;
     policy.maxBatch = 2;
     policy.maxDelayUs = 60'000'000;
-    hr::RequestQueue queue(policy);
+    hr::RequestQueue queue(policy, 2);
 
     std::thread producer([&queue] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        queue.push(makeRequest(1, 2));
-        queue.push(makeRequest(2, 2));
+        pushRow(queue, 1);
+        pushRow(queue, 2);
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         queue.close();
     });
-    auto batch = queue.pop();          // blocks until the size flush.
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->requests.size(), 2u);
-    EXPECT_FALSE(queue.pop().has_value());  // wakes on close.
+    hr::RequestBatch batch;
+    ASSERT_TRUE(queue.pop(batch));          // blocks until the size flush.
+    EXPECT_EQ(batch.requests.size(), 2u);
+    EXPECT_FALSE(queue.pop(batch));  // wakes on close.
     producer.join();
 }
 
@@ -219,28 +221,28 @@ TEST(RequestQueue, LoneRowDeadlineFlushNeverBeatsMaxDelay)
         hr::QueuePolicy policy;
         policy.maxBatch = 1024;
         policy.maxDelayUs = max_delay_us;
-        hr::RequestQueue queue(policy);
+        hr::RequestQueue queue(policy, 2);
         int rounds = max_delay_us < 1000 ? 40 : 4;
         for (int round = 0; round < rounds; ++round) {
             std::thread producer;
             if (round % 2 == 0) {
-                queue.push(makeRequest(static_cast<std::uint64_t>(round), 2));
+                pushRow(queue, static_cast<std::uint64_t>(round));
             } else {
                 producer = std::thread([&queue, round] {
                     std::this_thread::sleep_for(
                         std::chrono::microseconds(10 * round));
-                    queue.push(
-                        makeRequest(static_cast<std::uint64_t>(round), 2));
+                    pushRow(queue, static_cast<std::uint64_t>(round));
                 });
             }
-            auto batch = queue.pop();
+            hr::RequestBatch batch;
+            const bool got = queue.pop(batch);
             auto popped = Clock::now();
             if (producer.joinable())
                 producer.join();
-            ASSERT_TRUE(batch.has_value());
-            ASSERT_EQ(batch->requests.size(), 1u);
-            EXPECT_EQ(batch->reason, hr::FlushReason::kDeadline);
-            auto waited = popped - batch->requests[0].enqueuedAt;
+            ASSERT_TRUE(got);
+            ASSERT_EQ(batch.requests.size(), 1u);
+            EXPECT_EQ(batch.reason, hr::FlushReason::kDeadline);
+            auto waited = popped - batch.requests[0].enqueuedAt;
             EXPECT_GE(waited, std::chrono::microseconds(max_delay_us))
                 << "maxDelayUs " << max_delay_us << ", round " << round;
             EXPECT_LT(waited, std::chrono::seconds(2));
@@ -257,11 +259,12 @@ TEST(RequestQueue, CloseWhileConsumerWaitsOnEmptyQueueReturnsPromptly)
     for (int round = 0; round < 40; ++round) {
         hr::RequestQueue queue(hr::QueuePolicy{});
         std::atomic<bool> waiting{false};
-        std::optional<hr::RequestBatch> result;
+        hr::RequestBatch batch;
+        bool popped = true;
         Clock::time_point returned;
         std::thread consumer([&] {
             waiting.store(true);
-            result = queue.pop();
+            popped = queue.pop(batch);
             returned = Clock::now();
         });
         while (!waiting.load())
@@ -272,7 +275,7 @@ TEST(RequestQueue, CloseWhileConsumerWaitsOnEmptyQueueReturnsPromptly)
         auto closed = Clock::now();
         queue.close();
         consumer.join();
-        EXPECT_FALSE(result.has_value());
+        EXPECT_FALSE(popped);
         EXPECT_LT(returned - closed, std::chrono::milliseconds(500))
             << "round " << round;
     }
@@ -285,7 +288,7 @@ TEST(RequestQueue, IdleConsumerParksAfterABoundedSpin)
     hr::QueuePolicy policy;
     policy.maxBatch = 2;
     policy.maxDelayUs = 60'000'000;
-    hr::RequestQueue queue(policy);
+    hr::RequestQueue queue(policy, 2);
     auto thread_cpu = [] {
         timespec ts{};
         clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -295,13 +298,14 @@ TEST(RequestQueue, IdleConsumerParksAfterABoundedSpin)
     std::chrono::nanoseconds cpu_used{0};
     std::thread consumer([&] {
         auto before = thread_cpu();
-        auto batch = queue.pop();
+        hr::RequestBatch batch;
+        const bool popped = queue.pop(batch);
         cpu_used = thread_cpu() - before;
-        EXPECT_TRUE(batch.has_value());
+        EXPECT_TRUE(popped);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    queue.push(makeRequest(1, 2));
-    queue.push(makeRequest(2, 2));
+    pushRow(queue, 1);
+    pushRow(queue, 2);
     consumer.join();
     double cpu_ms =
         std::chrono::duration<double, std::milli>(cpu_used).count();
@@ -593,27 +597,28 @@ TEST(RequestQueue, MaxDelayClampPreventsDeadlineOverflow)
     hr::QueuePolicy policy;
     policy.maxBatch = 1024;
     policy.maxDelayUs = std::numeric_limits<std::uint64_t>::max();
-    hr::RequestQueue queue(policy);
+    hr::RequestQueue queue(policy, 2);
     EXPECT_EQ(queue.policy().maxDelayUs, hr::kMaxQueueDelayUs);
 
     // Behavioral half: with two rows pending and a (clamped) one-hour
     // deadline, pop() must still be waiting when close() arrives —
     // an overflowed deadline would release a kDeadline batch at once.
-    EXPECT_EQ(queue.push(makeRequest(1, 2)), hr::Admission::kAdmitted);
-    EXPECT_EQ(queue.push(makeRequest(2, 2)), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 1), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 2), hr::Admission::kAdmitted);
     auto started = Clock::now();
     std::thread closer([&queue] {
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         queue.close();
     });
-    auto batch = queue.pop();
+    hr::RequestBatch batch;
+    const bool popped = queue.pop(batch);
     double waited_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - started)
             .count();
     closer.join();
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->reason, hr::FlushReason::kDrain);
-    EXPECT_EQ(batch->requests.size(), 2u);
+    ASSERT_TRUE(popped);
+    EXPECT_EQ(batch.reason, hr::FlushReason::kDrain);
+    EXPECT_EQ(batch.requests.size(), 2u);
     EXPECT_GE(waited_ms, 20.0);
 }
 
@@ -625,28 +630,28 @@ TEST(RequestQueue, StrictPriorityAmongReadyLanes)
     probe.maxDelayUs = 60'000'000;
     hr::QueuePolicy bulk = probe;
     config.lanes = {probe, bulk};
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
     // Bulk becomes size-ready first, then probe: the probe batch must
     // still come out before any bulk batch.
     for (std::uint64_t i = 0; i < 8; ++i)
-        EXPECT_EQ(queue.push(makeRequest(100 + i, 2), 1),
+        EXPECT_EQ(pushRow(queue, 100 + i, 1),
                   hr::Admission::kAdmitted);
     for (std::uint64_t i = 0; i < 4; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2), 0),
+        EXPECT_EQ(pushRow(queue, i, 0),
                   hr::Admission::kAdmitted);
 
-    auto first = queue.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->lane, 0u);
-    EXPECT_EQ(first->reason, hr::FlushReason::kSize);
-    EXPECT_EQ(first->requests.front().id, 0u);
-    EXPECT_EQ(first->requests.front().lane, 0u);
+    hr::RequestBatch first;
+    ASSERT_TRUE(queue.pop(first));
+    EXPECT_EQ(first.lane, 0u);
+    EXPECT_EQ(first.reason, hr::FlushReason::kSize);
+    EXPECT_EQ(first.requests.front().id, 0u);
+    EXPECT_EQ(first.requests.front().lane, 0u);
 
-    auto second = queue.pop();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->lane, 1u);
-    EXPECT_EQ(second->requests.front().id, 100u);
+    hr::RequestBatch second;
+    ASSERT_TRUE(queue.pop(second));
+    EXPECT_EQ(second.lane, 1u);
+    EXPECT_EQ(second.requests.front().id, 100u);
     EXPECT_EQ(queue.depth(0), 0u);
     EXPECT_EQ(queue.depth(1), 4u);
     EXPECT_EQ(queue.counters(0).sizeFlushes, 1u);
@@ -660,14 +665,14 @@ TEST(RequestQueue, IdleHighPriorityLaneDoesNotStarveLowerLanes)
     lane.maxBatch = 2;
     lane.maxDelayUs = 60'000'000;
     config.lanes = {lane, lane, lane};
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(7, 2), 2), hr::Admission::kAdmitted);
-    EXPECT_EQ(queue.push(makeRequest(8, 2), 2), hr::Admission::kAdmitted);
-    auto batch = queue.pop();
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->lane, 2u);
-    EXPECT_EQ(batch->requests.size(), 2u);
+    EXPECT_EQ(pushRow(queue, 7, 2), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 8, 2), hr::Admission::kAdmitted);
+    hr::RequestBatch batch;
+    ASSERT_TRUE(queue.pop(batch));
+    EXPECT_EQ(batch.lane, 2u);
+    EXPECT_EQ(batch.requests.size(), 2u);
 }
 
 TEST(RequestQueue, EarliestDeadlineAcrossLanesWinsWhenNoneSizeReady)
@@ -681,16 +686,16 @@ TEST(RequestQueue, EarliestDeadlineAcrossLanesWinsWhenNoneSizeReady)
     hr::QueuePolicy fast = slow;
     fast.maxDelayUs = 20'000;      // lane 1: 20 ms.
     config.lanes = {slow, fast};
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(1, 2), 0), hr::Admission::kAdmitted);
-    EXPECT_EQ(queue.push(makeRequest(2, 2), 1), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 1, 0), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 2, 1), hr::Admission::kAdmitted);
 
-    auto batch = queue.pop();
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->lane, 1u);
-    EXPECT_EQ(batch->reason, hr::FlushReason::kDeadline);
-    EXPECT_EQ(batch->requests.front().id, 2u);
+    hr::RequestBatch batch;
+    ASSERT_TRUE(queue.pop(batch));
+    EXPECT_EQ(batch.lane, 1u);
+    EXPECT_EQ(batch.reason, hr::FlushReason::kDeadline);
+    EXPECT_EQ(batch.requests.front().id, 2u);
     EXPECT_EQ(queue.depth(0), 1u);
 }
 
@@ -701,19 +706,19 @@ TEST(RequestQueue, DrainReleasesHighestPriorityLaneFirst)
     lane.maxBatch = 1024;
     lane.maxDelayUs = 60'000'000;
     config.lanes = {lane, lane};
-    hr::RequestQueue queue(config);
-    EXPECT_EQ(queue.push(makeRequest(2, 2), 1), hr::Admission::kAdmitted);
-    EXPECT_EQ(queue.push(makeRequest(1, 2), 0), hr::Admission::kAdmitted);
+    hr::RequestQueue queue(config, 2);
+    EXPECT_EQ(pushRow(queue, 2, 1), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 1, 0), hr::Admission::kAdmitted);
     queue.close();
 
-    auto first = queue.pop();
-    auto second = queue.pop();
-    ASSERT_TRUE(first.has_value());
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(first->lane, 0u);
-    EXPECT_EQ(second->lane, 1u);
-    EXPECT_EQ(first->reason, hr::FlushReason::kDrain);
-    EXPECT_FALSE(queue.pop().has_value());
+    hr::RequestBatch first;
+    hr::RequestBatch second;
+    ASSERT_TRUE(queue.pop(first));
+    ASSERT_TRUE(queue.pop(second));
+    EXPECT_EQ(first.lane, 0u);
+    EXPECT_EQ(second.lane, 1u);
+    EXPECT_EQ(first.reason, hr::FlushReason::kDrain);
+    EXPECT_FALSE(queue.pop(first));
 }
 
 TEST(RequestQueue, EarlyDropShedsRowsPastTheirBudgetDeterministically)
@@ -725,16 +730,17 @@ TEST(RequestQueue, EarlyDropShedsRowsPastTheirBudgetDeterministically)
     lane.dropAfterUs = 1000;       // 1 ms budget, exceeded by sleeping.
     config.lanes = {lane};
     config.backpressure = hr::BackpressureMode::kEarlyDrop;
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
     for (std::uint64_t i = 0; i < 5; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2)), hr::Admission::kAdmitted);
+        EXPECT_EQ(pushRow(queue, i), hr::Admission::kAdmitted);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     queue.close();
     // Every admitted row is now ~20 ms past a 1 ms budget: the drain
     // flush drops them all and pop() reports clean exhaustion instead
     // of serving hopelessly late rows.
-    EXPECT_FALSE(queue.pop().has_value());
+    hr::RequestBatch batch;
+    EXPECT_FALSE(queue.pop(batch));
     EXPECT_EQ(queue.counters().earlyDropped, 5u);
     EXPECT_EQ(queue.counters().drainFlushes, 0u);
     EXPECT_EQ(queue.depth(), 0u);
@@ -749,14 +755,14 @@ TEST(RequestQueue, EarlyDropServesFreshRowsUntouched)
     lane.dropAfterUs = 60'000'000;  // ...far inside a huge drop budget.
     config.lanes = {lane};
     config.backpressure = hr::BackpressureMode::kEarlyDrop;
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
     for (std::uint64_t i = 0; i < 3; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2)), hr::Admission::kAdmitted);
-    auto batch = queue.pop();
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->reason, hr::FlushReason::kDeadline);
-    EXPECT_EQ(batch->requests.size(), 3u);
+        EXPECT_EQ(pushRow(queue, i), hr::Admission::kAdmitted);
+    hr::RequestBatch batch;
+    ASSERT_TRUE(queue.pop(batch));
+    EXPECT_EQ(batch.reason, hr::FlushReason::kDeadline);
+    EXPECT_EQ(batch.requests.size(), 3u);
     EXPECT_EQ(queue.counters().earlyDropped, 0u);
 }
 
@@ -787,22 +793,23 @@ TEST(RequestQueue, BlockWithTimeoutUnblocksWhenAFlushFreesSpace)
     config.lanes = {lane};
     config.backpressure = hr::BackpressureMode::kBlockWithTimeout;
     config.blockTimeoutUs = 60'000'000;  // practically forever.
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
     for (std::uint64_t i = 0; i < 4; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2)), hr::Admission::kAdmitted);
+        EXPECT_EQ(pushRow(queue, i), hr::Admission::kAdmitted);
 
     hr::Admission fifth = hr::Admission::kShed;
     std::thread producer([&] {
-        fifth = queue.push(makeRequest(99, 2));  // blocks: lane full.
+        fifth = pushRow(queue, 99);  // blocks: lane full.
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_EQ(queue.depth(), 4u);  // still blocked, nothing admitted.
 
-    auto batch = queue.pop();      // size flush frees the lane...
-    producer.join();               // ...which unblocks the producer.
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->requests.size(), 4u);
+    hr::RequestBatch batch;
+    const bool popped = queue.pop(batch);  // size flush frees the lane...
+    producer.join();                       // ...which unblocks the producer.
+    ASSERT_TRUE(popped);
+    EXPECT_EQ(batch.requests.size(), 4u);
     EXPECT_EQ(fifth, hr::Admission::kAdmitted);
     EXPECT_EQ(queue.depth(), 1u);
     EXPECT_EQ(queue.counters().accepted, 5u);
@@ -820,12 +827,12 @@ TEST(RequestQueue, BlockWithTimeoutGivesUpAndCountsIt)
     config.lanes = {lane};
     config.backpressure = hr::BackpressureMode::kBlockWithTimeout;
     config.blockTimeoutUs = 5'000;  // 5 ms, then give up.
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(1, 2)), hr::Admission::kAdmitted);
-    EXPECT_EQ(queue.push(makeRequest(2, 2)), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 1), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 2), hr::Admission::kAdmitted);
     auto started = Clock::now();
-    EXPECT_EQ(queue.push(makeRequest(3, 2)), hr::Admission::kTimedOut);
+    EXPECT_EQ(pushRow(queue, 3), hr::Admission::kTimedOut);
     double waited_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - started)
             .count();
@@ -844,12 +851,12 @@ TEST(RequestQueue, BlockedProducerFailsFastOnClose)
     config.lanes = {lane};
     config.backpressure = hr::BackpressureMode::kBlockWithTimeout;
     config.blockTimeoutUs = 60'000'000;
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(1, 2)), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 1), hr::Admission::kAdmitted);
     hr::Admission second = hr::Admission::kAdmitted;
     std::thread producer(
-        [&] { second = queue.push(makeRequest(2, 2)); });
+        [&] { second = pushRow(queue, 2); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     queue.close();
     producer.join();
@@ -859,7 +866,7 @@ TEST(RequestQueue, BlockedProducerFailsFastOnClose)
 TEST(RequestQueue, PushToUnknownLaneThrows)
 {
     hr::RequestQueue queue;  // one lane.
-    EXPECT_THROW(queue.push(makeRequest(1, 2), 1), std::out_of_range);
+    EXPECT_THROW(pushRow(queue, 1, 1), std::out_of_range);
 }
 
 // --------------------------------------------------- Server, multi-lane
@@ -996,13 +1003,14 @@ TEST(RequestQueue, OnDropReportsTicketLaneAndWaitForAgedOutRows)
                         std::uint64_t waited_us) {
         drops.emplace_back(ticket, from_lane, waited_us);
     };
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
     for (std::uint64_t i = 10; i < 15; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2)), hr::Admission::kAdmitted);
+        EXPECT_EQ(pushRow(queue, i), hr::Admission::kAdmitted);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     queue.close();
-    EXPECT_FALSE(queue.pop().has_value());
+    hr::RequestBatch batch;
+    EXPECT_FALSE(queue.pop(batch));
 
     // One callback per aged-out row, with its admission ticket, its
     // lane, and a wait at least the budget it blew.
@@ -1027,14 +1035,15 @@ TEST(RequestQueue, OnDropNotInvokedForDoorSheds)
     config.onDrop = [&](std::uint64_t, std::size_t, std::uint64_t) {
         ++drops;
     };
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(1, 2)), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 1), hr::Admission::kAdmitted);
     // The producer learns about this synchronously via kShed — routing
     // it through onDrop too would double-report the same row.
-    EXPECT_EQ(queue.push(makeRequest(2, 2)), hr::Admission::kShed);
+    EXPECT_EQ(pushRow(queue, 2), hr::Admission::kShed);
     queue.close();
-    EXPECT_TRUE(queue.pop().has_value());
+    hr::RequestBatch batch;
+    EXPECT_TRUE(queue.pop(batch));
     EXPECT_EQ(drops, 0u);
 }
 
@@ -1054,23 +1063,23 @@ TEST(RequestQueue, OnDropRunsOutsideTheLockAndMayRetryViaPush)
         // This re-enters push() from inside the callback — it must not
         // deadlock on the queue mutex.
         retried.push_back(ticket);
-        queue_ptr->push(makeRequest(ticket + 100, 2));
+        pushRow(*queue_ptr, ticket + 100);
     };
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
     queue_ptr = &queue;
 
-    EXPECT_EQ(queue.push(makeRequest(1, 2)), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 1), hr::Admission::kAdmitted);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(queue.push(makeRequest(2, 2)), hr::Admission::kAdmitted);
-    EXPECT_EQ(queue.push(makeRequest(3, 2)), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 2), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 3), hr::Admission::kAdmitted);
 
     // Size flush: the stale front row drops (firing the retry), the two
     // fresh rows serve, and the retried row is queued behind them.
-    auto batch = queue.pop();
-    ASSERT_TRUE(batch.has_value());
-    ASSERT_EQ(batch->requests.size(), 2u);
-    EXPECT_EQ(batch->requests[0].id, 2u);
-    EXPECT_EQ(batch->requests[1].id, 3u);
+    hr::RequestBatch batch;
+    ASSERT_TRUE(queue.pop(batch));
+    ASSERT_EQ(batch.requests.size(), 2u);
+    EXPECT_EQ(batch.requests[0].id, 2u);
+    EXPECT_EQ(batch.requests[1].id, 3u);
     ASSERT_EQ(retried.size(), 1u);
     EXPECT_EQ(retried[0], 1u);
     EXPECT_EQ(queue.depth(), 1u);
@@ -1126,7 +1135,7 @@ TEST(RequestQueue, ShedVsAdmitDeterministicUnderContention)
     lane.maxDelayUs = 60'000'000;
     lane.maxDepth = 10;
     config.lanes = {lane};
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
     constexpr std::size_t kProducers = 8;
     constexpr std::uint64_t kPerProducer = 200;
@@ -1135,8 +1144,7 @@ TEST(RequestQueue, ShedVsAdmitDeterministicUnderContention)
     for (std::size_t p = 0; p < kProducers; ++p)
         producers.emplace_back([&queue, &admitted, &shed, p] {
             for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-                auto verdict = queue.push(
-                    makeRequest(p * kPerProducer + i, 2));
+                auto verdict = pushRow(queue, p * kPerProducer + i);
                 hr::admitted(verdict) ? ++admitted : ++shed;
             }
         });
@@ -1151,9 +1159,9 @@ TEST(RequestQueue, ShedVsAdmitDeterministicUnderContention)
 
     // The admitted rows drain intact.
     queue.close();
-    auto batch = queue.pop();
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->requests.size(), 10u);
+    hr::RequestBatch batch;
+    ASSERT_TRUE(queue.pop(batch));
+    EXPECT_EQ(batch.requests.size(), 10u);
 }
 
 TEST(RequestQueue, ProducersStraddlingTheSpinBudgetResolveEveryTicketOnce)
@@ -1177,14 +1185,15 @@ TEST(RequestQueue, ProducersStraddlingTheSpinBudgetResolveEveryTicketOnce)
                                std::uint64_t) {
         dropped.push_back(ticket);  // pop() runs it on the consumer.
     };
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
     constexpr std::size_t kProducers = 4;
     constexpr std::uint64_t kPerProducer = 1500;
     std::vector<std::uint64_t> popped;
     std::thread consumer([&] {
-        while (auto batch = queue.pop())
-            for (const hr::Request &row : batch->requests)
+        hr::RequestBatch batch;
+        while (queue.pop(batch))
+            for (const hr::Request &row : batch.requests)
                 popped.push_back(row.id);
     });
     std::vector<std::vector<std::uint64_t>> admitted(kProducers);
@@ -1194,7 +1203,7 @@ TEST(RequestQueue, ProducersStraddlingTheSpinBudgetResolveEveryTicketOnce)
             hc::Rng rng(100 + p);
             for (std::uint64_t i = 0; i < kPerProducer; ++i) {
                 std::uint64_t id = p * kPerProducer + i;
-                if (hr::admitted(queue.push(makeRequest(id, 2), id % 2)))
+                if (hr::admitted(pushRow(queue, id, id % 2)))
                     admitted[p].push_back(id);
                 auto resume = Clock::now() + std::chrono::microseconds(
                                                  rng.uniformInt(0, 200));
@@ -1239,15 +1248,15 @@ TEST(RequestQueue, BlockedProducersAdmitInArrivalOrder)
     config.lanes = {lane};
     config.backpressure = hr::BackpressureMode::kBlockWithTimeout;
     config.blockTimeoutUs = 60'000'000;
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(0, 2)), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 0), hr::Admission::kAdmitted);
     std::vector<std::thread> producers;
     for (std::uint64_t p = 0; p < 3; ++p)
         producers.emplace_back([&queue, p] {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(40 * (p + 1)));
-            EXPECT_EQ(queue.push(makeRequest(100 + p, 2)),
+            EXPECT_EQ(pushRow(queue, 100 + p),
                       hr::Admission::kAdmitted);
         });
     // All three producers are parked before the first pop.
@@ -1255,10 +1264,10 @@ TEST(RequestQueue, BlockedProducersAdmitInArrivalOrder)
 
     std::vector<std::uint64_t> served;
     for (int i = 0; i < 4; ++i) {
-        auto batch = queue.pop();
-        ASSERT_TRUE(batch.has_value());
-        ASSERT_EQ(batch->requests.size(), 1u);
-        served.push_back(batch->requests.front().id);
+        hr::RequestBatch batch;
+        ASSERT_TRUE(queue.pop(batch));
+        ASSERT_EQ(batch.requests.size(), 1u);
+        served.push_back(batch.requests.front().id);
     }
     for (std::thread &t : producers)
         t.join();
@@ -1283,25 +1292,26 @@ TEST(RequestQueue, FairnessAgingLetsOverdueBulkLanePreemptPriority)
     bulk.maxDelayUs = 5'000;
     config.lanes = {probe, bulk};
     config.fairnessAgingUs = 1'000;
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(200, 2), 1), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 200, 1), hr::Admission::kAdmitted);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     for (std::uint64_t i = 0; i < 4; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2), 0),
+        EXPECT_EQ(pushRow(queue, i, 0),
                   hr::Admission::kAdmitted);
 
-    auto first = queue.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->lane, 1u);
-    EXPECT_EQ(first->reason, hr::FlushReason::kDeadline);
-    EXPECT_EQ(first->requests.front().id, 200u);
+    hr::RequestBatch first;
+    ASSERT_TRUE(queue.pop(first));
+    EXPECT_EQ(first.lane, 1u);
+    EXPECT_EQ(first.reason, hr::FlushReason::kDeadline);
+    EXPECT_EQ(first.requests.front().id, 200u);
     EXPECT_GE(queue.counters(1).agedFlushes, 1u);
     EXPECT_EQ(queue.counters(1).deadlineFlushes, 1u);
 
-    auto second = queue.pop();  // priority resumes once bulk is served.
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->lane, 0u);
+    hr::RequestBatch second;
+
+    ASSERT_TRUE(queue.pop(second));  // priority resumes once bulk is served.
+    EXPECT_EQ(second.lane, 0u);
     EXPECT_EQ(queue.counters(0).agedFlushes, 0u);
 }
 
@@ -1318,18 +1328,18 @@ TEST(RequestQueue, StrictPriorityHoldsWhenAgingDisabled)
     bulk.maxBatch = 1024;
     bulk.maxDelayUs = 5'000;
     config.lanes = {probe, bulk};
-    hr::RequestQueue queue(config);
+    hr::RequestQueue queue(config, 2);
 
-    EXPECT_EQ(queue.push(makeRequest(200, 2), 1), hr::Admission::kAdmitted);
+    EXPECT_EQ(pushRow(queue, 200, 1), hr::Admission::kAdmitted);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     for (std::uint64_t i = 0; i < 4; ++i)
-        EXPECT_EQ(queue.push(makeRequest(i, 2), 0),
+        EXPECT_EQ(pushRow(queue, i, 0),
                   hr::Admission::kAdmitted);
 
-    auto first = queue.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->lane, 0u);
-    EXPECT_EQ(first->reason, hr::FlushReason::kSize);
+    hr::RequestBatch first;
+    ASSERT_TRUE(queue.pop(first));
+    EXPECT_EQ(first.lane, 0u);
+    EXPECT_EQ(first.reason, hr::FlushReason::kSize);
     EXPECT_EQ(queue.counters(0).agedFlushes, 0u);
     EXPECT_EQ(queue.counters(1).agedFlushes, 0u);
 }

@@ -168,6 +168,33 @@ TEST(Telemetry, ReservoirStaysBoundedPastCapacity)
               ht::kHistogramReservoirSize);  // the sample is.
 }
 
+TEST(Telemetry, ObserveManyEqualsRepeatedObserveForTheSameSeed)
+{
+    // Below and past the reservoir's capacity (past it, Algorithm R
+    // draws from the Rng per value): a histogram fed in uneven slices
+    // through observeMany keeps the same count and the same samples,
+    // slot for slot, as one fed value by value.
+    for (std::size_t total : {std::size_t{1000},
+                              ht::kHistogramReservoirSize + 5000}) {
+        hc::Rng rng(17);
+        std::vector<double> values(total);
+        for (double &v : values)
+            v = rng.uniform(0.0, 1000.0);
+        ht::Histogram one_by_one(99);
+        ht::Histogram sliced(99);
+        for (double v : values)
+            one_by_one.observe(v);
+        std::size_t done = 0;
+        for (std::size_t slice = 1; done < total; slice = slice % 97 + 13) {
+            std::size_t n = std::min(slice, total - done);
+            sliced.observeMany(values.data() + done, n);
+            done += n;
+        }
+        EXPECT_EQ(sliced.count(), one_by_one.count()) << total;
+        EXPECT_EQ(sliced.samples(), one_by_one.samples()) << total;
+    }
+}
+
 // --------------------------------------------------------- snapshot merge
 
 TEST(Telemetry, SnapshotMergeSumsCountersAndConcatenatesSamples)

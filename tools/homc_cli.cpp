@@ -783,7 +783,7 @@ printUsage(std::ostream &out)
         "  --app ad|tc|bd           built-in application\n"
         "  --train FILE --test FILE CSV data (last column = label)\n"
         "  --platform NAME          target backend (see --list-platforms)\n"
-        "  --list-platforms         enumerate registered backends\n"
+        "  --list-platforms         list the four built-in target backends\n"
         "  --algorithms LIST        comma-separated family pool\n"
         "  --init N --iters N       search budget\n"
         "  --jobs N                 search pool width: every family's\n"
@@ -872,7 +872,7 @@ printUsage(std::ostream &out)
         "  --pareto METRIC          multi-objective cost (cus|mus|...)\n"
         "  --passes LIST            emit-stage IR passes (--list-passes)\n"
         "  --dump-ir[=PASS]         print the IR after each emit pass\n"
-        "  --list-passes            enumerate registered IR passes\n"
+        "  --list-passes            list the four built-in IR passes\n"
         "  --progress               print compile-stage progress\n"
         "  --seed N --out FILE --save ARTIFACT\n";
 }
